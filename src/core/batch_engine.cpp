@@ -169,7 +169,7 @@ void BatchEngine::run_round_parallel() {
 
 void BatchEngine::resolve(Shard& sh, std::uint64_t& sa, std::uint64_t& sb,
                           double u) {
-  // Mirrors Engine::resolve_cached, with the interned-index shadow packed
+  // Mirrors Engine::resolve, with the interned-index shadow packed
   // into the slot words instead of a per-agent side array.
   const std::uint32_t id_a = slot_id(sa);
   const std::uint32_t id_b = slot_id(sb);

@@ -15,8 +15,8 @@ constexpr std::uint64_t kAutoWindow = 512;
 constexpr double kSwitchToSkipBelow = 0.08;
 constexpr double kSwitchToDirectAbove = 0.25;
 
-// Default batch cap when set_batch_size(0). A batch ends at its first
-// collision anyway, so the cap only needs to clear the collision-free run
+// Batch cap: the most interactions one batch may span. A batch ends at its
+// first collision anyway, so the cap only needs to clear the collision-free run
 // distribution (E[run] ~ 0.63 sqrt(n) by the birthday bound, tail ~ 2 sqrt(n));
 // 2 sqrt(n) lets nearly every run end naturally without truncation, and the
 // sweep in EXPERIMENTS.md shows throughput is flat past that point. Clamped
@@ -26,6 +26,22 @@ std::uint64_t auto_batch_cap(std::uint64_t n) {
   const auto r =
       static_cast<std::uint64_t>(2.0 * std::sqrt(static_cast<double>(n)));
   return std::clamp<std::uint64_t>(r, 8, std::uint64_t{1} << 16);
+}
+
+// Index i drawn with probability count_at(i) / total, where `total` is the
+// sum of count_at(0..size): one uniform draw in [0, total), then a scan of
+// the running sums in index order (the order is part of the trajectory).
+template <class CountAt>
+std::size_t pick_index(Rng& rng, std::uint64_t total, std::size_t size,
+                       CountAt count_at) {
+  std::uint64_t r = rng.below(total);
+  for (std::size_t i = 0; i < size; ++i) {
+    const std::uint64_t c = count_at(i);
+    if (r < c) return i;
+    r -= c;
+  }
+  POPPROTO_CHECK_MSG(false, "weighted index sampling fell through");
+  return 0;
 }
 }  // namespace
 
@@ -94,34 +110,19 @@ void CountEngine::compact() {
   counts_ = std::move(nc);
 }
 
-std::size_t CountEngine::sample_species(std::uint64_t exclude_one_of) {
-  std::uint64_t total = n_;
-  if (exclude_one_of != ~0ull) --total;
-  std::uint64_t r = rng_.below(total);
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    std::uint64_t c = counts_[i];
-    if (i == exclude_one_of) --c;
-    if (r < c) return i;
-    r -= c;
-  }
-  POPPROTO_CHECK_MSG(false, "species sampling fell through");
-  return 0;
-}
-
-std::size_t CountEngine::sample_species_with(Rng& rng) const {
-  std::uint64_t r = rng.below(n_);
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    if (r < counts_[i]) return i;
-    r -= counts_[i];
-  }
-  POPPROTO_CHECK_MSG(false, "species sampling fell through");
-  return 0;
+std::size_t CountEngine::sample_species(std::size_t exclude_one_of) {
+  const bool exclude = exclude_one_of != kNoSpecies;
+  return pick_index(rng_, n_ - (exclude ? 1 : 0), counts_.size(),
+                    [&](std::size_t i) {
+                      return counts_[i] - (i == exclude_one_of ? 1 : 0);
+                    });
 }
 
 std::uint64_t CountEngine::crash_random(std::uint64_t k, Rng& rng) {
   std::uint64_t moved = 0;
   while (moved < k && n_ > 2) {
-    const std::size_t i = sample_species_with(rng);
+    const std::size_t i = pick_index(rng, n_, counts_.size(),
+                                     [&](std::size_t j) { return counts_[j]; });
     const State s = states_[i];
     remove_count(i, 1);
     auto it = std::find_if(crashed_.begin(), crashed_.end(),
@@ -143,16 +144,12 @@ std::uint64_t CountEngine::crash_random(std::uint64_t k, Rng& rng) {
 std::uint64_t CountEngine::rejoin_random(std::uint64_t k, Rng& rng) {
   std::uint64_t moved = 0;
   while (moved < k && crashed_n_ > 0) {
-    std::uint64_t r = rng.below(crashed_n_);
-    for (auto& [s, c] : crashed_) {
-      if (r < c) {
-        --c;
-        --crashed_n_;
-        add_count(s, 1);
-        break;
-      }
-      r -= c;
-    }
+    auto& [s, c] = crashed_[pick_index(
+        rng, crashed_n_, crashed_.size(),
+        [&](std::size_t i) { return crashed_[i].second; })];
+    --c;
+    --crashed_n_;
+    add_count(s, 1);
     ++moved;
   }
   if (moved > 0) silent_ = false;  // stale state may re-enable rules
@@ -187,15 +184,10 @@ std::uint64_t CountEngine::mutate_random_agents(
   std::uint64_t pool_total = n_;
   std::vector<std::uint64_t> drawn(counts_.size(), 0);
   for (std::uint64_t j = 0; j < k; ++j) {
-    std::uint64_t r = rng.below(pool_total);
-    for (std::size_t i = 0; i < pool.size(); ++i) {
-      if (r < pool[i]) {
-        --pool[i];
-        ++drawn[i];
-        break;
-      }
-      r -= pool[i];
-    }
+    const std::size_t i = pick_index(rng, pool_total, pool.size(),
+                                     [&](std::size_t m) { return pool[m]; });
+    --pool[i];
+    ++drawn[i];
     --pool_total;
   }
   std::uint64_t j = 0, rewritten = 0;
@@ -222,9 +214,7 @@ void CountEngine::apply_change(std::size_t ia, std::size_t ib) {
   const State sa = states_[ia];
   const State sb = states_[ib];
   const double u01 = rng_.uniform();
-  const PairOutcome o = use_cache_
-                            ? cache_.sample_change(sa, sb, u01)
-                            : cache_.sample_change_uncached(sa, sb, u01);
+  const PairOutcome o = cache_.sample_change(sa, sb, u01);
   if (o.a == sa && o.b == sb) return;
   remove_count(ia, 1);
   remove_count(ib, 1);
@@ -256,8 +246,7 @@ void CountEngine::direct_step() {
   const State sa = states_[ia];
   const State sb = states_[ib];
   const double u = rng_.uniform();
-  const PairOutcome o =
-      use_cache_ ? cache_.sample(sa, sb, u) : cache_.sample_uncached(sa, sb, u);
+  const PairOutcome o = cache_.sample(sa, sb, u);
   if (o.a == sa && o.b == sb) return;
   remove_count(ia, 1);
   remove_count(ib, 1);
@@ -282,9 +271,7 @@ void CountEngine::rebuild_events() {
           static_cast<double>(counts_[i]) *
           (static_cast<double>(counts_[j]) - (i == j ? 1.0 : 0.0));
       if (pairs <= 0.0) continue;
-      const double cw =
-          use_cache_ ? cache_.change_weight(states_[i], states_[j])
-                     : cache_.change_weight_uncached(states_[i], states_[j]);
+      const double cw = cache_.change_weight(states_[i], states_[j]);
       if (cw <= 0.0) continue;
       const double w = pairs * pair_norm * cw;
       events_.push_back(Event{w, i, j});
@@ -293,17 +280,36 @@ void CountEngine::rebuild_events() {
   }
 }
 
-bool CountEngine::skip_step() {
+void CountEngine::idle(double limit) {
+  // No effective interaction can happen before `limit`: account the gap as
+  // one skipped run of no-ops. An unbounded limit (a step() with no fault
+  // schedule) idles one round.
+  if (std::isinf(limit)) limit = time_ + 1.0;
+  const auto bulk = static_cast<std::uint64_t>(
+      std::llround((limit - time_) * static_cast<double>(n_)));
+  interactions_ += bulk;
+  ++ctr_.skip_jumps;
+  ctr_.skipped_interactions += bulk;
+  time_ = limit;
+}
+
+bool CountEngine::skip_step(double limit) {
   rebuild_events();
-  if (events_total_weight_ <= 0.0) {
-    silent_ = true;
-    return false;
+  if (events_total_weight_ <= 0.0) return false;
+  const std::uint64_t skip =
+      rng_.geometric(std::min(events_total_weight_, 1.0));
+  const double landing =
+      time_ + static_cast<double>(skip + 1) / static_cast<double>(n_);
+  if (landing > limit) {
+    // The geometric law is memoryless, so stopping at `limit` and drawing
+    // afresh from there is exact.
+    idle(limit);
+    return true;
   }
-  const std::uint64_t skip = rng_.geometric(std::min(events_total_weight_, 1.0));
   interactions_ += skip + 1;
   ++ctr_.skip_jumps;
   ctr_.skipped_interactions += skip;
-  time_ += static_cast<double>(skip + 1) / static_cast<double>(n_);
+  time_ = landing;
 
   double u = rng_.uniform() * events_total_weight_;
   const Event* chosen = &events_.back();
@@ -319,9 +325,14 @@ bool CountEngine::skip_step() {
   // to the exact Geometric(w * (1 - p)) law.
   if (injection_.drop_interaction && injection_.drop_interaction(rng_)) {
     ++ctr_.dropped_interactions;
-    return true;
+  } else {
+    apply_change(chosen->species_a, chosen->species_b);
   }
-  apply_change(chosen->species_a, chosen->species_b);
+  // kAuto/kBatch hand back to their dense sampler once the change weight
+  // this jump was drawn from has recovered.
+  if ((mode_ == CountEngineMode::kAuto || mode_ == CountEngineMode::kBatch) &&
+      events_total_weight_ > kSwitchToDirectAbove)
+    use_skip_ = false;
   return true;
 }
 
@@ -354,7 +365,8 @@ std::uint64_t CountEngine::batch_apply_pair(std::size_t ia, std::size_t ib,
   const State sa = states_[ia];
   const State sb = states_[ib];
   TransitionCache::ChangeDistView v;
-  if (!use_cache_ || !cache_.change_dist(sa, sb, &v)) {
+  if (!cache_.change_dist(sa, sb, &v)) {
+    // State cap exceeded: resolve this pair by value.
     bat_cum_.clear();
     bat_res_.clear();
     v.change_weight = cache_.change_dist_uncached(sa, sb, bat_cum_, bat_res_);
@@ -378,7 +390,7 @@ std::uint64_t CountEngine::batch_apply_pair(std::size_t ia, std::size_t ib,
       for (std::uint32_t c = 1; c < v.count; ++c)
         bat_gap_[c] = v.cum[c] - v.cum[c - 1];
       // Snapshot outcomes first: batch_species_slot may grow states_ and the
-      // uncached path's view aliases bat_res_ which we are done mutating,
+      // by-value fallback's view aliases bat_res_ which we are done mutating,
       // but the cached view's pointers die on the next cache build.
       bat_ores_.assign(v.res, v.res + v.count);
       sample_multinomial(rng_, changed, bat_gap_.data(), v.count,
@@ -414,13 +426,8 @@ void CountEngine::batch_collision_interaction(std::uint64_t* m_total,
   const bool resp_touched = r < wtt || r >= wtt + wtu;
   const auto pick = [&](const std::vector<std::uint64_t>& pool,
                         std::uint64_t total) {
-    std::uint64_t x = rng_.below(total);
-    for (std::size_t i = 0; i < pool.size(); ++i) {
-      if (x < pool[i]) return i;
-      x -= pool[i];
-    }
-    POPPROTO_CHECK_MSG(false, "batch collision sampling fell through");
-    return std::size_t{0};
+    return pick_index(rng_, total, pool.size(),
+                      [&](std::size_t i) { return pool[i]; });
   };
   // Remove the initiator from its pool before drawing the responder, so a
   // TT pair never reuses the same agent.
@@ -446,8 +453,7 @@ void CountEngine::batch_collision_interaction(std::uint64_t* m_total,
   const State sa = states_[ia];
   const State sb = states_[ib];
   const double u01 = rng_.uniform();
-  const PairOutcome o = use_cache_ ? cache_.sample(sa, sb, u01)
-                                   : cache_.sample_uncached(sa, sb, u01);
+  const PairOutcome o = cache_.sample(sa, sb, u01);
   ++bat_touched_[batch_species_slot(o.a)];
   ++bat_touched_[batch_species_slot(o.b)];
   *u_total += 2;
@@ -455,11 +461,11 @@ void CountEngine::batch_collision_interaction(std::uint64_t* m_total,
   ++ctr_.batch_collisions;
 }
 
-bool CountEngine::batch_step(double limit) {
+void CountEngine::batch_step(double limit) {
   // Interaction budget until `limit` (round boundary or run target), capped
   // by the batch size. Guard the infinite-limit case before casting.
   const double room = (limit - time_) * static_cast<double>(n_);
-  const std::uint64_t cap = batch_size_ ? batch_size_ : auto_batch_cap(n_);
+  const std::uint64_t cap = auto_batch_cap(n_);
   std::uint64_t budget = cap;
   if (room < static_cast<double>(cap))
     budget = room >= 1.0 ? static_cast<std::uint64_t>(room) : 1;
@@ -534,7 +540,6 @@ bool CountEngine::batch_step(double limit) {
     rebuild_events();
     if (events_total_weight_ <= 0.0) silent_ = true;
   }
-  return !silent_;
 }
 
 void CountEngine::maybe_toggle_batch_skip() {
@@ -557,139 +562,72 @@ void CountEngine::maybe_toggle_batch_skip() {
   }
 }
 
-bool CountEngine::step() {
-  if (silent_) return false;
+void CountEngine::maybe_toggle_auto_skip() {
+  // kAuto's tumbling window: every kAutoWindow direct steps decide afresh
+  // whether the effective fraction is low enough for skip-ahead.
+  if (!use_skip_ && window_steps_ >= kAutoWindow) {
+    if (static_cast<double>(window_effective_) /
+            static_cast<double>(window_steps_) <
+        kSwitchToSkipBelow)
+      use_skip_ = true;
+    window_steps_ = window_effective_ = 0;
+  } else if (use_skip_ && events_total_weight_ > kSwitchToDirectAbove) {
+    use_skip_ = false;
+    window_steps_ = window_effective_ = 0;
+  }
+}
+
+CountEngine::Sampler CountEngine::choose_sampler() {
   if (mode_ == CountEngineMode::kBatch && batch_allowed()) {
     maybe_toggle_batch_skip();
-    if (!use_skip_) {
-      const double limit =
-          injection_.on_round ? last_injection_round_ + 1.0
-                              : std::numeric_limits<double>::infinity();
-      const bool alive = batch_step(limit);
-      maybe_fire_injection();
-      return alive;
-    }
+    return use_skip_ ? Sampler::kSkip : Sampler::kBatch;
   }
-  if (mode_ == CountEngineMode::kAuto) {
-    if (!use_skip_ && window_steps_ >= kAutoWindow) {
-      const double frac = static_cast<double>(window_effective_) /
-                          static_cast<double>(window_steps_);
-      if (frac < kSwitchToSkipBelow) use_skip_ = true;
-      window_steps_ = window_effective_ = 0;
-    } else if (use_skip_ && events_total_weight_ > kSwitchToDirectAbove) {
-      use_skip_ = false;
-      window_steps_ = window_effective_ = 0;
-    }
-  }
-  bool alive = true;
-  if ((use_skip_ || mode_ == CountEngineMode::kSkip) && skip_allowed()) {
-    alive = skip_step();
+  // A running skip-ahead stretch hands back from inside skip_step, right
+  // after each jump; the window policy runs only between direct steps.
+  if ((use_skip_ || mode_ == CountEngineMode::kSkip) && skip_allowed())
+    return Sampler::kSkip;
+  if (mode_ == CountEngineMode::kAuto) maybe_toggle_auto_skip();
+  return use_skip_ && skip_allowed() ? Sampler::kSkip : Sampler::kDirect;
+}
+
+bool CountEngine::activate(double limit) {
+  if (silent_) {
+    idle(limit);
   } else {
-    direct_step();
+    switch (choose_sampler()) {
+      case Sampler::kDirect:
+        direct_step();
+        break;
+      case Sampler::kBatch:
+        batch_step(limit);
+        break;
+      case Sampler::kSkip:
+        if (!skip_step(limit)) {
+          silent_ = true;
+          idle(limit);
+        }
+        break;
+    }
   }
   maybe_fire_injection();
-  return alive;
+  return !silent_;
+}
+
+bool CountEngine::step() {
+  return activate(injection_.on_round
+                      ? last_injection_round_ + 1.0
+                      : std::numeric_limits<double>::infinity());
 }
 
 void CountEngine::run_rounds(double rounds_to_run) {
   const double target = time_ + rounds_to_run;
   while (time_ < target) {
-    // When a fault schedule is installed, jumps (skip-ahead or silent
-    // fast-forward) are capped at the next whole-round boundary so events
-    // land on schedule; the geometric law's memorylessness makes stopping
-    // early and resampling exact.
-    double limit = target;
-    if (injection_.on_round)
-      limit = std::min(limit, last_injection_round_ + 1.0);
-    if (silent_) {
-      const auto bulk = static_cast<std::uint64_t>(
-          std::llround((limit - time_) * static_cast<double>(n_)));
-      interactions_ += bulk;
-      ++ctr_.skip_jumps;
-      ctr_.skipped_interactions += bulk;
-      time_ = limit;  // nothing can change; fast-forward
-      maybe_fire_injection();
-      continue;
-    }
-    if (mode_ == CountEngineMode::kBatch && batch_allowed()) {
-      maybe_toggle_batch_skip();
-      if (!use_skip_) {
-        batch_step(limit);
-        maybe_fire_injection();
-        continue;
-      }
-    }
-    if ((use_skip_ || mode_ == CountEngineMode::kSkip) && skip_allowed()) {
-      rebuild_events();
-      if (events_total_weight_ <= 0.0) {
-        silent_ = true;
-        continue;
-      }
-      const std::uint64_t skip =
-          rng_.geometric(std::min(events_total_weight_, 1.0));
-      const double landing =
-          time_ + static_cast<double>(skip + 1) / static_cast<double>(n_);
-      if (landing > limit) {
-        const auto bulk = static_cast<std::uint64_t>(
-            std::llround((limit - time_) * static_cast<double>(n_)));
-        interactions_ += bulk;
-        ++ctr_.skip_jumps;
-        ctr_.skipped_interactions += bulk;
-        time_ = limit;
-        maybe_fire_injection();
-        continue;
-      }
-      interactions_ += skip + 1;
-      ++ctr_.skip_jumps;
-      ctr_.skipped_interactions += skip;
-      time_ = landing;
-      double u = rng_.uniform() * events_total_weight_;
-      const Event* chosen = &events_.back();
-      for (const auto& e : events_) {
-        if (u < e.weight) {
-          chosen = &e;
-          break;
-        }
-        u -= e.weight;
-      }
-      if (injection_.drop_interaction && injection_.drop_interaction(rng_)) {
-        ++ctr_.dropped_interactions;
-      } else {
-        apply_change(chosen->species_a, chosen->species_b);
-      }
-      // Re-evaluate auto/batch switching.
-      if ((mode_ == CountEngineMode::kAuto ||
-           mode_ == CountEngineMode::kBatch) &&
-          events_total_weight_ > kSwitchToDirectAbove)
-        use_skip_ = false;
-      maybe_fire_injection();
-    } else {
-      step();
-    }
+    // With a fault schedule installed, activations stop at the next whole
+    // round so its events land on time.
+    activate(injection_.on_round
+                 ? std::min(target, last_injection_round_ + 1.0)
+                 : target);
   }
-}
-
-std::optional<double> CountEngine::run_until(
-    const std::function<bool(const CountEngine&)>& predicate, double max_rounds,
-    double check_interval) {
-  POPPROTO_CHECK(check_interval > 0.0);
-  if (predicate(*this)) {
-    if (trace_) trace_->push(EventKind::kConvergenceDetected, rounds());
-    return rounds();
-  }
-  while (rounds() < max_rounds) {
-    // Clamped like SimBackend::run_until: the final check lands on the
-    // max_rounds boundary rather than overshooting by a whole interval.
-    run_rounds(std::min(check_interval, max_rounds - rounds()));
-    if (predicate(*this)) {
-      if (trace_) trace_->push(EventKind::kConvergenceDetected, rounds());
-      return rounds();
-    }
-    // A silent configuration can only change if a fault schedule may still
-    // perturb it.
-    if (silent_ && !injection_.on_round) return std::nullopt;
-  }
-  return std::nullopt;
 }
 
 EngineCounters CountEngine::counters() const {
@@ -707,10 +645,10 @@ void CountEngine::snapshot(std::ostream& out) const {
   std::string core;
   BinWriter c(core);
   c.u8(static_cast<std::uint8_t>(mode_));
-  c.u8(use_cache_ ? 1 : 0);
+  c.u8(1);  // kernel-cache flag of format v1: always on
   c.u8(use_skip_ ? 1 : 0);
   c.u8(silent_ ? 1 : 0);
-  c.u64(batch_size_);
+  c.u64(0);  // batch cap of format v1: always automatic
   c.f64(time_);
   c.u64(interactions_);
   c.u64(effective_);
@@ -751,7 +689,6 @@ void CountEngine::restore(std::istream& in) {
 
   struct Staging {
     std::uint8_t mode = 0;
-    bool use_cache = true;
     bool use_skip = false;
     bool silent = false;
     std::uint64_t batch_size = 0;
@@ -778,7 +715,9 @@ void CountEngine::restore(std::istream& in) {
     switch (tag) {
       case SnapshotSection::kCore:
         st.mode = r.u8();
-        st.use_cache = r.u8() != 0;
+        // Format v1 kernel-cache flag: ignored, since the cached and
+        // uncached kernels map every draw to the same outcome.
+        r.u8();
         st.use_skip = r.u8() != 0;
         st.silent = r.u8() != 0;
         st.batch_size = r.u64();
@@ -831,6 +770,9 @@ void CountEngine::restore(std::istream& in) {
   // Semantic validation — *this stays untouched until everything passed.
   if (st.mode > static_cast<std::uint8_t>(CountEngineMode::kBatch))
     throw SnapshotError(SnapshotErrc::kCorrupt, "unknown count engine mode");
+  if (st.batch_size != 0)
+    throw SnapshotError(SnapshotErrc::kConfigMismatch,
+                        "fixed batch caps are no longer supported");
   if (st.states.size() != st.counts.size())
     throw SnapshotError(SnapshotErrc::kCorrupt,
                         "species/count table length mismatch");
@@ -872,10 +814,8 @@ void CountEngine::restore(std::istream& in) {
   crashed_n_ = st.crashed_n;
   rng_.set_state(st.rng);
   mode_ = static_cast<CountEngineMode>(st.mode);
-  use_cache_ = st.use_cache;
   use_skip_ = st.use_skip;
   silent_ = st.silent;
-  batch_size_ = st.batch_size;
   time_ = st.time;
   interactions_ = st.interactions;
   effective_ = st.effective;
@@ -885,7 +825,7 @@ void CountEngine::restore(std::istream& in) {
   ctr_ = st.ctr;
   cache_builds_base_ = st.ctr.cache_builds;
   cache_builds_floor_ = cache_.builds();
-  events_.clear();  // derived; skip_step/rebuild_events regenerates
+  events_.clear();  // derived; rebuild_events regenerates
   bat_touched_.clear();
   bat_di_.clear();
   bat_row_.clear();

@@ -78,7 +78,7 @@ void Engine::resync_sidx() {
   pop_version_seen_ = pop_.version();
 }
 
-void Engine::resolve_cached(std::uint32_t a, std::uint32_t b, double u) {
+void Engine::resolve(std::uint32_t a, std::uint32_t b, double u) {
   // Index-based fast path: sidx_ shadows each agent's interned state index,
   // so the steady-state interaction is two index loads, one pair-bound load,
   // and (only when the draw changes a state) a breakpoint scan — no hashing,
@@ -138,23 +138,14 @@ void Engine::interact(std::uint32_t a, std::uint32_t b) {
     return;
   }
   // One fused draw covers thread choice, rule choice, and the outcome coin
-  // (core/transition_cache.hpp); both kernel paths resolve it identically.
+  // (core/transition_cache.hpp).
   const double u = rng_.uniform();
-  if (use_cache_) {
-    // The shadow index array is trustworthy as long as every population
-    // mutation went through us; a version mismatch (faults or tests writing
-    // states directly) invalidates it wholesale and relearns lazily.
-    if (pop_.version() != pop_version_seen_) [[unlikely]]
-      resync_sidx();
-    resolve_cached(a, b, u);
-    return;
-  }
-  const State sa = pop_.state(a);
-  const State sb = pop_.state(b);
-  const PairOutcome o = cache_.sample_uncached(sa, sb, u);
-  if (o.a != sa || o.b != sb) ++ctr_.effective_steps;
-  if (o.a != sa) pop_.set_state(a, o.a);
-  if (o.b != sb) pop_.set_state(b, o.b);
+  // The shadow index array is trustworthy as long as every population
+  // mutation went through us; a version mismatch (faults or tests writing
+  // states directly) invalidates it wholesale and relearns lazily.
+  if (pop_.version() != pop_version_seen_) [[unlikely]]
+    resync_sidx();
+  resolve(a, b, u);
 }
 
 void Engine::bias_sequential_pair(std::uint32_t& a, std::uint32_t b) {
@@ -257,22 +248,22 @@ bool block_ids_disjoint(const std::uint32_t* a, const std::uint32_t* b,
 }  // namespace
 
 void Engine::run_steps(std::uint64_t k) {
-  // Specialized loop for the plain configuration (sequential scheduler,
-  // cached kernel, no bias, no hooks, no churn so far). Nothing observable
-  // differs from k plain step() calls — the RNG word order (pair draws,
-  // then the outcome uniform, per step) and all counters are identical —
-  // but the draws come from the bulk buffer (refilled 1024 words at a
-  // time) and are precomputed a block of 16 steps ahead, so the scattered
-  // sidx_ loads of the whole block prefetch while earlier steps resolve.
+  // Specialized loop for the plain configuration (sequential scheduler, no
+  // bias, no hooks, no churn so far). Nothing observable differs from k
+  // plain step() calls — the RNG word order (pair draws, then the outcome
+  // uniform, per step) and all counters are identical — but the draws
+  // come from the bulk buffer (refilled 1024 words at a time) and are
+  // precomputed a block of 16 steps ahead, so the scattered sidx_ loads of
+  // the whole block prefetch while earlier steps resolve.
   // Within a block whose agents are pairwise distinct, the pair-table
   // prescan (TransitionCache::prescan_slow, SIMD-gathered) proves the
   // no-op lanes — the dominant case — in one pass, and only the lanes that
   // may change state take the scalar kernel. No hooks can run, so none of
   // the guard conditions can change mid-loop.
   if (k == 0) return;
-  const bool plain = scheduler_ == SchedulerKind::kSequential && use_cache_ &&
-                     !bias_ && !injection_.drop_interaction &&
-                     !injection_.on_round && !round_hook_ && active_identity_;
+  const bool plain = scheduler_ == SchedulerKind::kSequential && !bias_ &&
+                     !injection_.drop_interaction && !injection_.on_round &&
+                     !round_hook_ && active_identity_;
   if (!plain) {
     for (std::uint64_t i = 0; i < k; ++i) step();
     return;
@@ -315,10 +306,10 @@ void Engine::run_steps(std::uint64_t k) {
       for (std::uint64_t bits = slow; bits != 0; bits &= bits - 1) {
         const auto j =
             static_cast<std::size_t>(__builtin_ctzll(bits));
-        resolve_cached(ba[j], bb[j], bu[j]);
+        resolve(ba[j], bb[j], bu[j]);
       }
     } else {
-      for (std::size_t j = 0; j < m; ++j) resolve_cached(ba[j], bb[j], bu[j]);
+      for (std::size_t j = 0; j < m; ++j) resolve(ba[j], bb[j], bu[j]);
     }
     done += m;
   }
@@ -332,21 +323,9 @@ void Engine::run_rounds(double rounds_to_run) {
 std::optional<double> Engine::run_until(
     const std::function<bool(const AgentPopulation&)>& predicate,
     double max_rounds, double check_interval) {
-  POPPROTO_CHECK(check_interval > 0.0);
-  if (predicate(pop_)) {
-    if (trace_) trace_->push(EventKind::kConvergenceDetected, rounds());
-    return rounds();
-  }
-  while (rounds() < max_rounds) {
-    // Clamped like SimBackend::run_until: the final check lands on the
-    // max_rounds boundary rather than overshooting by a whole interval.
-    run_rounds(std::min(check_interval, max_rounds - rounds()));
-    if (predicate(pop_)) {
-      if (trace_) trace_->push(EventKind::kConvergenceDetected, rounds());
-      return rounds();
-    }
-  }
-  return std::nullopt;
+  return SimBackend::run_until(
+      [&](const SimBackend&) { return predicate(pop_); }, max_rounds,
+      check_interval);
 }
 
 EngineCounters Engine::counters() const {
@@ -363,7 +342,7 @@ void Engine::snapshot(std::ostream& out) const {
   std::string core;
   BinWriter c(core);
   c.u8(static_cast<std::uint8_t>(scheduler_));
-  c.u8(use_cache_ ? 1 : 0);
+  c.u8(1);  // kernel-cache flag of format v1: always on
   c.f64(time_);
   c.u64(interactions_);
   w.section(SnapshotSection::kCore, core);
@@ -397,7 +376,6 @@ void Engine::restore(std::istream& in) {
 
   struct Staging {
     std::uint8_t scheduler = 0;
-    bool use_cache = true;
     double time = 0.0;
     std::uint64_t interactions = 0;
     std::vector<State> states;
@@ -414,7 +392,9 @@ void Engine::restore(std::istream& in) {
     switch (tag) {
       case SnapshotSection::kCore:
         st.scheduler = r.u8();
-        st.use_cache = r.u8() != 0;
+        // Format v1 kernel-cache flag: ignored, since the cached and
+        // uncached kernels map every draw to the same outcome.
+        r.u8();
         st.time = r.f64();
         st.interactions = r.u64();
         have_core = true;
@@ -483,7 +463,6 @@ void Engine::restore(std::istream& in) {
   draws_.reset();  // buffered read-ahead belongs to the overwritten stream
   rng_.set_state(st.rng);
   scheduler_ = static_cast<SchedulerKind>(st.scheduler);
-  use_cache_ = st.use_cache;
   time_ = st.time;
   interactions_ = st.interactions;
   ctr_ = st.ctr;

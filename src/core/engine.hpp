@@ -24,7 +24,7 @@ namespace popproto {
 /// stays calibrated to the scheduled population under churn.
 ///
 /// Implements SimBackend (core/sim_backend.hpp) as the "agent" substrate;
-/// the per-interaction hot path (run_steps / resolve_cached) never crosses
+/// the per-interaction hot path (run_steps / resolve) never crosses
 /// a virtual boundary.
 class Engine final : public SimBackend {
  public:
@@ -70,13 +70,9 @@ class Engine final : public SimBackend {
   using RoundHook = std::function<void(double round, const AgentPopulation&)>;
   void set_round_hook(RoundHook hook);
 
-  /// Toggle the memoized transition kernel (on by default). Both settings
-  /// produce bit-identical trajectories from the same seed — the uncached
-  /// path recomputes the same fused distribution per interaction — so this
-  /// exists for benchmarking and for protocols whose reachable state space
-  /// exceeds the cache cap (which otherwise degrade to per-pair fallback
-  /// automatically; see core/transition_cache.hpp).
-  void set_transition_cache(bool enabled) { use_cache_ = enabled; }
+  /// The memoized transition kernel every interaction resolves through.
+  /// Protocols whose reachable state space exceeds its cap degrade to
+  /// per-pair fallback automatically (see core/transition_cache.hpp).
   const TransitionCache& transition_cache() const { return cache_; }
 
   /// Fault-layer injection points (see core/injection.hpp). Unset hooks
@@ -121,12 +117,12 @@ class Engine final : public SimBackend {
 
   // -- Durable state (src/persist/, DESIGN.md §10) --------------------------
   /// Full-fidelity snapshot: per-agent states, active set, RNG stream,
-  /// scheduler/cache config, time base and counters. The transition cache is
-  /// NOT serialized — both kernel paths are bit-identical, so a restored
-  /// engine relearns pair bindings lazily with no trajectory drift.
+  /// scheduler kind, time base and counters. The transition cache is NOT
+  /// serialized — it is derived state, so a restored engine relearns pair
+  /// bindings lazily with no trajectory drift.
   void snapshot(std::ostream& out) const override;
   /// All-or-nothing restore (see SimBackend::restore). Adopts the saved
-  /// scheduler kind, cache toggle, and population size; hooks, traces, and
+  /// scheduler kind and population size; hooks, traces, and
   /// bias are runtime attachments and must be re-installed by the caller.
   void restore(std::istream& in) override;
 
@@ -159,9 +155,9 @@ class Engine final : public SimBackend {
   /// Apply one interaction of the protocol to the ordered pair (a, b),
   /// honouring dropout and rule sampling. Shared by both schedulers.
   void interact(std::uint32_t a, std::uint32_t b);
-  /// Cached-kernel half of interact(): resolve the fused draw `u` on the
+  /// Kernel half of interact(): resolve the fused draw `u` on the
   /// ordered pair via the interned-index shadow. Requires sidx_ in sync.
-  void resolve_cached(std::uint32_t a, std::uint32_t b, double u);
+  void resolve(std::uint32_t a, std::uint32_t b, double u);
   /// ε-mixture initiator skew for a sequential pair (see SchedulerBias).
   void bias_sequential_pair(std::uint32_t& a, std::uint32_t b);
   /// Invalidate the interned-index shadow after an external pop_ mutation.
@@ -176,7 +172,6 @@ class Engine final : public SimBackend {
   BulkDraws draws_;
   SchedulerKind scheduler_;
   TransitionCache cache_;
-  bool use_cache_ = true;
   std::uint64_t interactions_ = 0;
   double time_ = 0.0;
   double inv_active_ = 0.0;  // 1 / active_.size(), kept in sync with churn

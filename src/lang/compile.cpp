@@ -1,5 +1,7 @@
 #include "lang/compile.hpp"
 
+#include <algorithm>
+
 #include "support/check.hpp"
 
 namespace popproto {
@@ -77,7 +79,12 @@ std::optional<double> CompiledEngine::run_until(
   POPPROTO_CHECK(check_interval > 0.0);
   if (predicate(user_)) return rounds();
   while (rounds() < max_rounds) {
-    run_rounds(check_interval);
+    // Clamped like SimBackend::run_until, so the last check lands on the
+    // horizon. Time moves in whole interactions: a horizon that falls
+    // between two of them still gets one, so the loop always progresses.
+    const std::uint64_t before = interactions_;
+    run_rounds(std::min(check_interval, max_rounds - rounds()));
+    if (interactions_ == before) step();
     if (predicate(user_)) return rounds();
   }
   return std::nullopt;

@@ -1,8 +1,7 @@
 #include "support/rng.hpp"
 
-#include <algorithm>
 #include <cmath>
-#include <cstdlib>
+#include <cstdio>
 
 #include "support/simd.hpp"
 
@@ -54,28 +53,8 @@ void Rng::fill_below(std::uint64_t bound, std::uint64_t* out, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) out[i] = below(bound);
 }
 
-namespace {
-
-// POPPROTO_RNG_BUFFER, read once per process. The clamp floor keeps the
-// refill amortization meaningful; the ceiling bounds the O(buffer) logical-
-// state computation a mid-buffer snapshot pays.
-std::size_t bulk_buffer_words() {
-  static const std::size_t words = [] {
-    if (const char* v = std::getenv("POPPROTO_RNG_BUFFER")) {
-      const long parsed = std::atol(v);
-      if (parsed > 0)
-        return std::clamp<std::size_t>(static_cast<std::size_t>(parsed), 16,
-                                       65536);
-    }
-    return BulkDraws::kDefaultWords;
-  }();
-  return words;
-}
-
-}  // namespace
-
 void BulkDraws::refill(Rng& rng) {
-  if (buf_.empty()) buf_.resize(bulk_buffer_words());
+  if (buf_.empty()) buf_.resize(kDefaultWords);
   base_ = rng;
   rng.fill_u64(buf_.data(), buf_.size());
   pos_ = 0;

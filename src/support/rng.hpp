@@ -167,9 +167,7 @@ std::string rng_state_hex(const Rng& rng);
 /// contract tests/persist_test.cpp pins on every backend.
 class BulkDraws {
  public:
-  /// Default refill size in words. Overridden per-process by the
-  /// POPPROTO_RNG_BUFFER environment knob (clamped to [16, 65536]; see
-  /// docs/TUNING.md), read once at first use.
+  /// Refill size in words.
   static constexpr std::size_t kDefaultWords = 1024;
 
   BulkDraws() = default;

@@ -1,0 +1,268 @@
+// Trajectory pins for the engines' advance paths. Each case drives a seeded
+// engine to majority consensus (the minority opinion extinct) and compares
+// three observables against recorded values: the CRC32 of the engine's
+// snapshot bytes, interactions(), and the bit pattern of rounds(). The
+// snapshot covers the species table, RNG stream, mode/hysteresis state,
+// time base and telemetry counters, so any drift in draw order, mode
+// switching, time accounting or counter bookkeeping shows up here.
+//
+// The recorded values come from the implementation in which CountEngine's
+// step() and run_rounds() each carried their own mode dispatch and
+// skip-ahead sampler and every engine its own run_until loop; any change
+// that keeps seeded trajectories bit-identical leaves them unchanged. On a
+// mismatch the failure message prints the observed row in table form.
+#include <gtest/gtest.h>
+
+#include <bit>
+#include <cstdint>
+#include <cstdio>
+#include <map>
+#include <memory>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "core/count_engine.hpp"
+#include "core/count_shard_engine.hpp"
+#include "core/engine.hpp"
+#include "faults/fault_plan.hpp"
+#include "faults/injector.hpp"
+#include "server/protocol_registry.hpp"
+#include "support/serialize.hpp"
+
+namespace popproto {
+namespace {
+
+constexpr std::uint64_t kN = std::uint64_t{1} << 12;
+constexpr double kHorizon = 2000.0;
+
+struct Pin {
+  std::uint32_t crc;
+  std::uint64_t interactions;
+  std::uint64_t rounds_bits;
+};
+
+// name -> recorded outcome.
+const std::map<std::string, Pin>& pins() {
+  static const std::map<std::string, Pin> table = {
+      {"agent/matching/churn", {0xd5ffe12eu, 265940ull, 0x4060400000000000ull}},
+      {"agent/matching/run_until", {0x4ec0cf16u, 221184ull, 0x405b000000000000ull}},
+      {"agent/sequential/churn", {0x2bc31880u, 191913ull, 0x4047800869222a50ull}},
+      {"agent/sequential/run_steps", {0x0f38ea08u, 222102ull, 0x404b1cb000000000ull}},
+      {"agent/sequential/run_until", {0x810d6566u, 204800ull, 0x4049000000000000ull}},
+      {"count/faults/approx_majority", {0x21651e78u, 275252ull, 0x4051001000000040ull}},
+      {"count/faults/dv12_majority", {0xf71aba3eu, 1135412ull, 0x4071600400000010ull}},
+      {"count/run_rounds/approx_majority/auto/1", {0x612c1414u, 188416ull, 0x4047000000000000ull}},
+      {"count/run_rounds/approx_majority/auto/2", {0xfbcbcb17u, 266240ull, 0x4050400000000000ull}},
+      {"count/run_rounds/approx_majority/batch/1", {0xb87d8fddu, 229376ull, 0x404c000000000000ull}},
+      {"count/run_rounds/approx_majority/batch/2", {0x51f187efu, 323584ull, 0x4053c00000000000ull}},
+      {"count/run_rounds/approx_majority/direct/1", {0xf5c0596cu, 233472ull, 0x404c800000000000ull}},
+      {"count/run_rounds/approx_majority/direct/2", {0xa34f2584u, 208896ull, 0x4049800000000000ull}},
+      {"count/run_rounds/approx_majority/skip/1", {0xfe7e4997u, 233472ull, 0x404c800000000000ull}},
+      {"count/run_rounds/approx_majority/skip/2", {0x610cf9b4u, 196608ull, 0x4048000000000000ull}},
+      {"count/run_rounds/dv12_majority/auto/1", {0x56eee533u, 1085440ull, 0x4070900000000000ull}},
+      {"count/run_rounds/dv12_majority/auto/2", {0x8999509bu, 880640ull, 0x406ae00000000000ull}},
+      {"count/run_rounds/dv12_majority/batch/1", {0x27f8d859u, 872448ull, 0x406aa00000000000ull}},
+      {"count/run_rounds/dv12_majority/batch/2", {0x1103add3u, 954368ull, 0x406d200000000000ull}},
+      {"count/run_rounds/dv12_majority/direct/1", {0xad5b5bf0u, 921600ull, 0x406c200000000000ull}},
+      {"count/run_rounds/dv12_majority/direct/2", {0xe06632bdu, 1196032ull, 0x4072400000000000ull}},
+      {"count/run_rounds/dv12_majority/skip/1", {0x64959e5cu, 1269760ull, 0x4073600000000000ull}},
+      {"count/run_rounds/dv12_majority/skip/2", {0xecb62594u, 1052672ull, 0x4070100000000000ull}},
+      {"count/run_until/approx_majority/auto/1", {0xbc56c11du, 256000ull, 0x404f400000000000ull}},
+      {"count/run_until/approx_majority/auto/2", {0x9dcdcf90u, 235520ull, 0x404cc00000000000ull}},
+      {"count/run_until/approx_majority/batch/1", {0xb812edf9u, 225280ull, 0x404b800000000000ull}},
+      {"count/run_until/approx_majority/batch/2", {0x724a0e5eu, 194560ull, 0x4047c00000000000ull}},
+      {"count/run_until/approx_majority/direct/1", {0x71522125u, 235520ull, 0x404cc00000000000ull}},
+      {"count/run_until/approx_majority/direct/2", {0xbd1dae77u, 215040ull, 0x404a400000000000ull}},
+      {"count/run_until/approx_majority/skip/1", {0x2734193bu, 215040ull, 0x404a400000000000ull}},
+      {"count/run_until/approx_majority/skip/2", {0xbb2221dbu, 225280ull, 0x404b800000000000ull}},
+      {"count/run_until/dv12_majority/auto/1", {0xded88becu, 1464320ull, 0x4076580000000000ull}},
+      {"count/run_until/dv12_majority/auto/2", {0xc3686d79u, 901120ull, 0x406b800000000000ull}},
+      {"count/run_until/dv12_majority/batch/1", {0xcb2b318au, 921600ull, 0x406c200000000000ull}},
+      {"count/run_until/dv12_majority/batch/2", {0x17e87a02u, 860160ull, 0x406a400000000000ull}},
+      {"count/run_until/dv12_majority/direct/1", {0xad5b5bf0u, 921600ull, 0x406c200000000000ull}},
+      {"count/run_until/dv12_majority/direct/2", {0x660fe88du, 1198080ull, 0x4072480000000000ull}},
+      {"count/run_until/dv12_majority/skip/1", {0x92c3eb83u, 1177600ull, 0x4071f80000000000ull}},
+      {"count/run_until/dv12_majority/skip/2", {0x077cb5ceu, 1269760ull, 0x4073600000000000ull}},
+      {"count_shard/approx_majority/1", {0x8a675389u, 221184ull, 0x404b000000000000ull}},
+      {"count_shard/approx_majority/2", {0xa3eeaa7cu, 229376ull, 0x404c000000000000ull}},
+      {"count_shard/dv12_majority/1", {0x7c04ec52u, 1044480ull, 0x406fe00000000000ull}},
+      {"count_shard/dv12_majority/2", {0x42d6c6f3u, 1073152ull, 0x4070600000000000ull}},
+  };
+  return table;
+}
+
+void expect_pinned(const std::string& name, const SimBackend& b) {
+  std::ostringstream out;
+  b.snapshot(out);
+  const Pin got{crc32(out.str()), b.interactions(),
+                std::bit_cast<std::uint64_t>(b.rounds())};
+  char row[160];
+  std::snprintf(row, sizeof row, "{\"%s\", {0x%08xu, %lluull, 0x%016llxull}},",
+                name.c_str(), got.crc,
+                static_cast<unsigned long long>(got.interactions),
+                static_cast<unsigned long long>(got.rounds_bits));
+  const auto it = pins().find(name);
+  ASSERT_NE(it, pins().end()) << "no pin recorded; observed " << row;
+  EXPECT_EQ(got.crc, it->second.crc) << row;
+  EXPECT_EQ(got.interactions, it->second.interactions) << row;
+  EXPECT_EQ(got.rounds_bits, it->second.rounds_bits) << row;
+}
+
+struct Case {
+  std::unique_ptr<ProtocolInstance> inst;
+  Guard minority;
+};
+
+Case make_case(const char* protocol) {
+  Case c;
+  c.inst = make_protocol_instance(protocol, kN);
+  const char* minority =
+      std::string(protocol) == "approx_majority" ? "BB" : "MB";
+  c.minority = Guard(BoolExpr::var(*c.inst->vars->find(minority)));
+  return c;
+}
+
+std::vector<State> counts_to_states(
+    const std::vector<std::pair<State, std::uint64_t>>& counts) {
+  std::vector<State> states;
+  for (const auto& [s, c] : counts) states.insert(states.end(), c, s);
+  return states;
+}
+
+const char* mode_name(CountEngineMode m) {
+  switch (m) {
+    case CountEngineMode::kDirect: return "direct";
+    case CountEngineMode::kSkip: return "skip";
+    case CountEngineMode::kAuto: return "auto";
+    case CountEngineMode::kBatch: return "batch";
+  }
+  return "?";
+}
+
+constexpr CountEngineMode kModes[] = {
+    CountEngineMode::kDirect, CountEngineMode::kSkip, CountEngineMode::kAuto,
+    CountEngineMode::kBatch};
+constexpr const char* kProtocols[] = {"approx_majority", "dv12_majority"};
+constexpr std::uint64_t kSeeds[] = {1, 2};
+
+// Whole rounds until the minority is extinct (and, with a fault plan, until
+// the plan has run out).
+void run_rounds_to_consensus(SimBackend& b, const Guard& minority,
+                             double not_before = 0.0) {
+  while ((b.count_matching(minority) > 0 || b.rounds() < not_before) &&
+         b.rounds() < kHorizon)
+    b.run_rounds(1.0);
+}
+
+TEST(Characterization, CountEngineRunRounds) {
+  for (const char* proto : kProtocols)
+    for (const CountEngineMode mode : kModes)
+      for (const std::uint64_t seed : kSeeds) {
+        const Case c = make_case(proto);
+        CountEngine eng(*c.inst->protocol, c.inst->initial_counts, seed, mode);
+        run_rounds_to_consensus(eng, c.minority);
+        EXPECT_EQ(eng.count_matching(c.minority), 0u);
+        expect_pinned(std::string("count/run_rounds/") + proto + "/" +
+                          mode_name(mode) + "/" + std::to_string(seed),
+                      eng);
+      }
+}
+
+TEST(Characterization, CountEngineRunUntil) {
+  for (const char* proto : kProtocols)
+    for (const CountEngineMode mode : kModes)
+      for (const std::uint64_t seed : kSeeds) {
+        const Case c = make_case(proto);
+        CountEngine eng(*c.inst->protocol, c.inst->initial_counts, seed, mode);
+        const auto t = eng.run_until(
+            [&](const CountEngine& e) {
+              return e.count_matching(c.minority) == 0;
+            },
+            kHorizon, /*check_interval=*/2.5);
+        ASSERT_TRUE(t.has_value());
+        expect_pinned(std::string("count/run_until/") + proto + "/" +
+                          mode_name(mode) + "/" + std::to_string(seed),
+                      eng);
+      }
+}
+
+TEST(Characterization, CountEngineBatchUnderFaults) {
+  // Crash a tenth of the population, drop interactions for a while (which
+  // routes kBatch through its scalar paths), then rejoin everyone.
+  FaultPlan plan;
+  plan.crash_at(3.0, CrashSpec{0.1, 0})
+      .dropout_window(4.0, 9.0, 0.3)
+      .rejoin_at(11.0, RejoinSpec{0.0, 0, true});
+  for (const char* proto : kProtocols) {
+    const Case c = make_case(proto);
+    CountEngine eng(*c.inst->protocol, c.inst->initial_counts, /*seed=*/1,
+                    CountEngineMode::kBatch);
+    FaultInjector inj(plan, /*seed=*/5);
+    inj.attach(eng);
+    run_rounds_to_consensus(eng, c.minority, /*not_before=*/12.0);
+    EXPECT_EQ(eng.crashed_count(), 0u);
+    expect_pinned(std::string("count/faults/") + proto, eng);
+  }
+}
+
+TEST(Characterization, CountShardEngine) {
+  for (const char* proto : kProtocols)
+    for (const std::uint64_t seed : kSeeds) {
+      const Case c = make_case(proto);
+      CountShardEngine::Params params;
+      params.shards = 4;
+      params.threads = 1;
+      CountShardEngine eng(*c.inst->protocol, c.inst->initial_counts, seed,
+                           params);
+      ASSERT_EQ(eng.shards(), 4u);
+      run_rounds_to_consensus(eng, c.minority);
+      EXPECT_EQ(eng.count_matching(c.minority), 0u);
+      expect_pinned(std::string("count_shard/") + proto + "/" +
+                        std::to_string(seed),
+                    eng);
+    }
+}
+
+TEST(Characterization, AgentEngine) {
+  const Case c = make_case("approx_majority");
+  const std::vector<State> init = counts_to_states(c.inst->initial_counts);
+  const VarId bb = *c.inst->vars->find("BB");
+  for (const SchedulerKind sched :
+       {SchedulerKind::kSequential, SchedulerKind::kRandomMatching}) {
+    const std::string tag =
+        sched == SchedulerKind::kSequential ? "sequential" : "matching";
+    {
+      // Crash 200 agents for a few rounds, then rejoin half stale and half
+      // with a fresh (majority) state.
+      Engine eng(*c.inst->protocol, init, /*seed=*/3, sched);
+      eng.run_rounds(2.0);
+      for (std::size_t i = 0; i < 200; ++i) eng.crash_agent(7 * i + 1);
+      eng.run_rounds(3.0);
+      for (std::size_t i = 0; i < 200; ++i) {
+        if (i % 2 == 0)
+          eng.rejoin_agent(7 * i + 1);
+        else
+          eng.rejoin_agent(7 * i + 1, init.front());
+      }
+      run_rounds_to_consensus(eng, c.minority);
+      expect_pinned("agent/" + tag + "/churn", eng);
+    }
+    {
+      Engine eng(*c.inst->protocol, init, /*seed=*/4, sched);
+      const auto t = eng.run_until(
+          [&](const AgentPopulation& pop) { return pop.count_var(bb) == 0; },
+          kHorizon, /*check_interval=*/2.5);
+      ASSERT_TRUE(t.has_value());
+      expect_pinned("agent/" + tag + "/run_until", eng);
+    }
+  }
+  // The pipelined run_steps loop of the sequential scheduler.
+  Engine eng(*c.inst->protocol, init, /*seed=*/5);
+  while (eng.count_matching(c.minority) > 0 && eng.rounds() < kHorizon)
+    eng.run_steps(kN + 17);
+  expect_pinned("agent/sequential/run_steps", eng);
+}
+
+}  // namespace
+}  // namespace popproto

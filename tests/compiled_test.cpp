@@ -154,6 +154,30 @@ TEST(Compiled, NestedProgramAdvancesOuterSlotAfterInnerSweeps) {
   EXPECT_TRUE(tau2_moved);
 }
 
+TEST(Compiled, RunUntilStopsAtTheHorizon) {
+  // The last interval is clamped to max_rounds like SimBackend::run_until:
+  // with check_interval (16) past the horizon (5), the run stops at the
+  // horizon instead of a whole interval later, and a predicate that first
+  // holds only beyond the budget is a timeout, not a late success.
+  auto vars = make_var_space();
+  const Program p = flat_program(vars, 3);
+  const std::size_t n = 100;
+  CompiledEngine eng(p, std::vector<State>(n, 0), make_fixed_x_driver(n, 4),
+                     ClockLevelParams{}, 17);
+  const auto t = eng.run_until(
+      [&](const AgentPopulation&) { return eng.rounds() >= 8.0; },
+      /*max_rounds=*/5.0);
+  EXPECT_FALSE(t.has_value());
+  EXPECT_GE(eng.rounds(), 5.0);
+  EXPECT_LE(eng.rounds(), 5.0 + 1.0 / static_cast<double>(n));
+  // A horizon between two interactions still gets exactly one more.
+  const auto late = eng.run_until(
+      [&](const AgentPopulation&) { return false; },
+      /*max_rounds=*/5.0 + 0.5 / static_cast<double>(n));
+  EXPECT_FALSE(late.has_value());
+  EXPECT_DOUBLE_EQ(eng.rounds(), 5.0 + 1.0 / static_cast<double>(n));
+}
+
 TEST(Compiled, LeaderElectionEndToEnd) {
   // The flagship integration test: the full compiled LeaderElection — Fig.1
   // assignment lowering, Fig.2 existence epidemics, Π_τ gating, oscillator,

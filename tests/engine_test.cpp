@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <string>
+#include <vector>
 
+#include "core/batch_engine.hpp"
 #include "core/count_engine.hpp"
+#include "core/count_shard_engine.hpp"
 #include "core/engine.hpp"
 
 namespace popproto {
@@ -324,6 +329,47 @@ TEST(SimBackendContract, RunUntilEdgeCasesAcrossBackends) {
         /*max_rounds=*/b->rounds() + 5.0, /*check_interval=*/500.0);
     EXPECT_FALSE(miss.has_value());
     EXPECT_LE(b->rounds(), t.value_or(0.0) + 5.0 + 1.0);
+  }
+}
+
+TEST(SimBackendContract, SilentStepLoopReachesTimeTarget) {
+  // No agent is infected, so no rule can ever fire. step() must still
+  // advance parallel time on every backend (and every count mode), so a
+  // plain `while (rounds() < T) step();` loop ends.
+  auto vars = make_var_space();
+  const Protocol p = epidemic_protocol(vars);
+  const VarId i = *vars->find("I");
+  constexpr std::uint64_t kN = 512;
+  constexpr double kTarget = 30.0;
+  const std::vector<State> states(kN, 0);
+  const std::vector<std::pair<State, std::uint64_t>> counts = {{0, kN}};
+  BatchEngine::Params batch_params;
+  batch_params.threads = 1;
+  CountShardEngine::Params shard_params;
+  shard_params.shards = 2;
+  shard_params.threads = 1;
+  Engine agent(p, states, 21);
+  BatchEngine batch(p, states, 21, batch_params);
+  CountShardEngine shard(p, counts, 21, shard_params);
+  std::vector<std::unique_ptr<SimBackend>> backends;
+  for (const CountEngineMode mode :
+       {CountEngineMode::kDirect, CountEngineMode::kSkip,
+        CountEngineMode::kAuto, CountEngineMode::kBatch})
+    backends.push_back(std::make_unique<CountEngine>(p, counts, 21, mode));
+  std::vector<SimBackend*> all = {&agent, &batch, &shard};
+  for (const auto& b : backends) all.push_back(b.get());
+  for (std::size_t k = 0; k < all.size(); ++k) {
+    SimBackend& b = *all[k];
+    SCOPED_TRACE(std::string(b.backend_name()) + " #" + std::to_string(k));
+    std::uint64_t calls = 0;
+    while (b.rounds() < kTarget) {
+      const double before = b.rounds();
+      b.step();
+      ASSERT_GT(b.rounds(), before) << "step() left time unchanged";
+      ASSERT_LE(++calls, static_cast<std::uint64_t>(kTarget) * kN);
+    }
+    EXPECT_EQ(b.count_matching(BoolExpr::var(i)), 0u);
+    EXPECT_EQ(b.active_n(), kN);
   }
 }
 

@@ -19,6 +19,7 @@
 //  * AutoCheckpoint: tick cadence, atomic write + load, missing-file and
 //    injector-flag handling.
 #include <cstdio>
+#include <functional>
 #include <memory>
 #include <random>
 #include <sstream>
@@ -327,6 +328,35 @@ void expect_rejected(SimBackend& target, const std::string& bytes,
   EXPECT_EQ(snapshot_bytes(target), before) << what << ": target was mutated";
 }
 
+/// `bytes` with one section's payload rewritten by `edit` and its CRC
+/// re-sealed, every other byte as written.
+std::string with_section_edited(const std::string& bytes,
+                                SnapshotSection section,
+                                const std::function<void(std::string&)>& edit) {
+  BinReader r(bytes);
+  std::string out;
+  BinWriter w(out);
+  w.u32(r.u32());  // magic
+  w.u32(r.u32());  // version
+  for (;;) {
+    const std::uint32_t tag = r.u32();
+    const std::uint64_t len = r.u64();
+    std::uint32_t crc = r.u32();
+    std::string payload;
+    for (std::uint64_t i = 0; i < len; ++i)
+      payload.push_back(static_cast<char>(r.u8()));
+    if (tag == static_cast<std::uint32_t>(section)) {
+      edit(payload);
+      crc = crc32(payload);
+    }
+    w.u32(tag);
+    w.u64(payload.size());
+    w.u32(crc);
+    for (const char ch : payload) w.u8(static_cast<std::uint8_t>(ch));
+    if (tag == static_cast<std::uint32_t>(SnapshotSection::kEnd)) return out;
+  }
+}
+
 TEST(MalformedSnapshot, TruncationsAlwaysThrow) {
   ClockFixture fx(512);
   auto src = fx.agent(7)();
@@ -408,6 +438,22 @@ TEST(MalformedSnapshot, BatchShardCountMismatch) {
   const SnapshotErrc mismatch = SnapshotErrc::kConfigMismatch;
   expect_rejected(*target, snapshot_bytes(*src), &mismatch,
                   "t=2 snapshot into t=4 engine");
+}
+
+TEST(MalformedSnapshot, CountEngineFixedBatchCapRejected) {
+  // Format v1 keeps a batch-cap field in the count engine's core section;
+  // the cap is automatic now, so only 0 restores.
+  MajorityFixture fx(512);
+  auto src = fx.count(7, CountEngineMode::kBatch)();
+  src->run_rounds(4.0);
+  const std::string capped = with_section_edited(
+      snapshot_bytes(*src), SnapshotSection::kCore, [](std::string& core) {
+        // mode, cache flag, skip flag, silent flag, then the u64 cap.
+        core[4] = 64;
+      });
+  auto target = fx.count(9, CountEngineMode::kBatch)();
+  const SnapshotErrc mismatch = SnapshotErrc::kConfigMismatch;
+  expect_rejected(*target, capped, &mismatch, "batch cap 64");
 }
 
 TEST(MalformedSnapshot, ByteFlipFuzz) {
@@ -700,6 +746,86 @@ TEST(Restore, CacheBuildCountersStayMonotonic) {
   // total; the trajectory-relevant counters still match the reference.
   EXPECT_GE(res->counters().cache_builds, at_snap.cache_builds);
 }
+
+// -- Format v1 snapshots with the kernel-cache flag off -----------------------
+// Written by an earlier build, from engines whose memoized kernel was
+// switched off (core flag 0). Restore ignores the flag — both kernels map
+// every draw to the same outcome — and the replay after it must match the
+// recorded snapshot of that earlier build's engine continuing with the
+// kernel on.
+
+std::string from_hex(const std::string& hex) {
+  std::string out;
+  for (std::size_t i = 0; i + 1 < hex.size(); i += 2)
+    out.push_back(static_cast<char>(std::stoi(hex.substr(i, 2), nullptr, 16)));
+  return out;
+}
+
+// make_approximate_majority_protocol, CountEngine kAuto over {BA: 40,
+// BB: 24}, seed 11, three rounds.
+const char* const kUncachedCountV1 =
+    "5050533101000000010000001d000000000000009f2e2d160500000000000000"
+    "636f756e7429f71ebf41f7ffcb4000000000000000020000003c000000000000"
+    "00aaa6a42c0200000000000000000000000000000000000840c0000000000000"
+    "001300000000000000c000000000000000130000000000000000000000000000"
+    "000300000058000000000000004338395d400000000000000003000000000000"
+    "0001000000000000000200000000000000000000000000000003000000000000"
+    "00240000000000000011000000000000000b0000000000000000000000000000"
+    "0000000000000000000400000028000000000000007d5931c901000000000000"
+    "00b9dbe0996eb16db7676f9a1f70f0d63c27e844fd2fc28acf0ab400d9555329"
+    "e9050000006800000000000000852ee080c00000000000000013000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "000000000000000000";
+
+// make_approximate_majority_protocol, sequential Engine over 32 agents,
+// seed 12, two rounds.
+const char* const kUncachedAgentV1 =
+    "5050533101000000010000001d00000000000000e1629bac0500000000000000"
+    "6167656e7429f71ebf41f7ffcb20000000000000000200000012000000000000"
+    "00a70e1490000000000000000000404000000000000000030000009001000000"
+    "0000007f535a4f20000000000000000200000000000000010000000000000000"
+    "0000000000000001000000000000000200000000000000010000000000000002"
+    "0000000000000001000000000000000200000000000000010000000000000002"
+    "0000000000000001000000000000000200000000000000010000000000000002"
+    "0000000000000001000000000000000200000000000000000000000000000000"
+    "0000000000000001000000000000000200000000000000000000000000000000"
+    "0000000000000001000000000000000000000000000000010000000000000002"
+    "0000000000000001000000000000000100000000000000010000000000000001"
+    "0000000000000001000000000000002000000000000000000000000100000002"
+    "000000030000000400000005000000060000000700000008000000090000000a"
+    "0000000b0000000c0000000d0000000e0000000f000000100000001100000012"
+    "000000130000001400000015000000160000001700000018000000190000001a"
+    "0000001b0000001c0000001d0000001e0000001f000000040000002800000000"
+    "0000004622cafb0100000000000000bfaa72eb1a16fed13c29ae061ba7963235"
+    "8be1d5473379c36bae74f4caf1d37b050000006800000000000000327f34ca40"
+    "000000000000000c000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000";
+
+TEST(SnapshotFormatV1, UncachedCountSnapshotRestoresAndReplays) {
+  MajorityFixture fx(4);
+  const std::string blob = from_hex(kUncachedCountV1);
+  CountEngine eng(fx.proto, {{fx.a, 2}, {fx.b, 2}}, /*seed=*/99,
+                  CountEngineMode::kDirect);
+  restore_bytes(eng, blob);
+  eng.run_rounds(20.0);
+  EXPECT_EQ(eng.interactions(), 1472u);
+  EXPECT_EQ(crc32(snapshot_bytes(eng)), 0xa4d3d1a6u);
+}
+
+TEST(SnapshotFormatV1, UncachedAgentSnapshotRestoresAndReplays) {
+  MajorityFixture fx(32);
+  const std::string blob = from_hex(kUncachedAgentV1);
+  Engine eng(fx.proto, std::vector<State>(32, fx.a), /*seed=*/77);
+  restore_bytes(eng, blob);
+  eng.run_rounds(10.0);
+  EXPECT_EQ(eng.interactions(), 384u);
+  EXPECT_EQ(crc32(snapshot_bytes(eng)), 0x25ddf81cu);
+}
+
 
 }  // namespace
 }  // namespace popproto

@@ -1,13 +1,13 @@
-// Kernel equivalence tests (ISSUE 2): the memoized transition kernel must be
-// a pure performance change — cached and uncached paths map every draw to the
-// same result, so engines follow bit-identical trajectories from the same
-// seed, with every special-cased fast path (sample_indexed, the sidx_ shadow,
-// run_steps' prefetch pipeline, the cap fallback) exercised explicitly.
+// Kernel equivalence tests: the memoized transition kernel must be a pure
+// performance change — cached and uncached walks map every draw to the same
+// result, so engines follow bit-identical trajectories to an uncached
+// reference stepper from the same seed, with every special-cased fast path
+// (sample_indexed, the sidx_ shadow, run_steps' prefetch pipeline, the cap
+// fallback) exercised explicitly.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <memory>
-#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "clocks/oscillator.hpp"
@@ -15,6 +15,7 @@
 #include "core/count_engine.hpp"
 #include "core/engine.hpp"
 #include "protocols/baselines.hpp"
+#include "reference_engine.hpp"
 #include "support/rng.hpp"
 
 namespace popproto {
@@ -156,30 +157,31 @@ TEST(TransitionCacheEquivalence, CapFallbackStillCorrect) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine trajectory equivalence: same seed => bit-identical populations,
-// cached vs uncached, across schedulers and fault hooks.
+// Engine trajectory equivalence: same seed => bit-identical populations, the
+// memoized engine vs the uncached reference stepper (reference_engine.hpp),
+// across schedulers, fault hooks, churn and external mutation.
 // ---------------------------------------------------------------------------
 
-void expect_identical(const Engine& a, const Engine& b, const char* what) {
-  ASSERT_EQ(a.n(), b.n());
+void expect_identical(const Engine& a, const ReferenceEngine& ref,
+                      const char* what) {
+  ASSERT_EQ(a.n(), ref.states().size());
   for (std::size_t i = 0; i < a.n(); ++i)
-    ASSERT_EQ(a.population().state(i), b.population().state(i))
+    ASSERT_EQ(a.population().state(i), ref.states()[i])
         << what << " diverged at agent " << i;
-  EXPECT_EQ(a.interactions(), b.interactions());
-  EXPECT_DOUBLE_EQ(a.rounds(), b.rounds());
+  EXPECT_EQ(a.interactions(), ref.interactions());
+  EXPECT_EQ(a.rounds(), ref.rounds());
 }
 
 void run_and_compare(const Fixture& f, SchedulerKind sched,
                      const char* what) {
-  Engine cached(f.proto, f.init, /*seed=*/21, sched);
-  Engine uncached(f.proto, f.init, /*seed=*/21, sched);
-  uncached.set_transition_cache(false);
+  Engine eng(f.proto, f.init, /*seed=*/21, sched);
+  ReferenceEngine ref(f.proto, f.init, /*seed=*/21, sched);
   for (int chunk = 0; chunk < 10; ++chunk) {
     for (int s = 0; s < 2'000; ++s) {
-      cached.step();
-      uncached.step();
+      eng.step();
+      ref.step();
     }
-    expect_identical(cached, uncached, what);
+    expect_identical(eng, ref, what);
   }
 }
 
@@ -194,94 +196,94 @@ TEST(EngineEquivalence, MatchingTrajectoriesBitIdentical) {
 }
 
 TEST(EngineEquivalence, RunStepsMatchesStepLoop) {
-  // run_steps takes a specialized pipelined path when cached + sequential;
-  // it must consume the RNG in the same order as k plain step() calls.
+  // run_steps takes a specialized pipelined path on the plain sequential
+  // configuration; it must consume the RNG in the same order as k plain
+  // step() calls, and both must match the reference.
   const Fixture f = phase_clock_fixture(256);
   Engine batched(f.proto, f.init, /*seed=*/22);
   Engine stepped(f.proto, f.init, /*seed=*/22);
+  ReferenceEngine ref(f.proto, f.init, /*seed=*/22);
   for (const std::uint64_t k : {1ull, 2ull, 7'919ull, 1ull, 10'000ull}) {
     batched.run_steps(k);
-    for (std::uint64_t s = 0; s < k; ++s) stepped.step();
-    expect_identical(batched, stepped, "run_steps");
+    for (std::uint64_t s = 0; s < k; ++s) {
+      stepped.step();
+      ref.step();
+    }
+    expect_identical(batched, ref, "run_steps");
+    expect_identical(stepped, ref, "step loop");
   }
 }
 
 TEST(EngineEquivalence, DropHookPreservesEquivalence) {
   const Fixture f = oscillator_fixture(256);
-  const auto make = [&](bool cache) {
-    auto eng = std::make_unique<Engine>(f.proto, f.init, /*seed=*/23);
-    eng->set_transition_cache(cache);
-    InjectionHook hook;
-    hook.drop_interaction = [](Rng& r) { return r.chance(0.25); };
-    eng->set_injection_hook(std::move(hook));
-    return eng;
-  };
-  auto cached = make(true);
-  auto uncached = make(false);
+  const auto drop = [](Rng& r) { return r.chance(0.25); };
+  Engine eng(f.proto, f.init, /*seed=*/23);
+  InjectionHook hook;
+  hook.drop_interaction = drop;
+  eng.set_injection_hook(std::move(hook));
+  ReferenceEngine ref(f.proto, f.init, /*seed=*/23);
+  ref.set_drop(drop);
   for (int s = 0; s < 20'000; ++s) {
-    cached->step();
-    uncached->step();
+    eng.step();
+    ref.step();
   }
-  expect_identical(*cached, *uncached, "drop hook");
+  expect_identical(eng, ref, "drop hook");
 }
 
 TEST(EngineEquivalence, ChurnPreservesEquivalence) {
   // Crash/rejoin flips active_identity_ off and exercises the indirected
-  // pair sampling; both paths must keep tracking each other through it.
+  // pair sampling; the engine must keep tracking the reference through it.
   const Fixture f = phase_clock_fixture(128);
-  Engine cached(f.proto, f.init, /*seed=*/24);
-  Engine uncached(f.proto, f.init, /*seed=*/24);
-  uncached.set_transition_cache(false);
+  Engine eng(f.proto, f.init, /*seed=*/24);
+  ReferenceEngine ref(f.proto, f.init, /*seed=*/24);
   const State fresh = f.init[f.init.size() - 1];
   for (int round = 0; round < 6; ++round) {
-    for (std::size_t i = 0; i < 20; ++i) {
-      cached.crash_agent(3 * i + static_cast<std::size_t>(round));
-      uncached.crash_agent(3 * i + static_cast<std::size_t>(round));
+    for (std::uint32_t i = 0; i < 20; ++i) {
+      eng.crash_agent(3 * i + static_cast<std::uint32_t>(round));
+      ref.crash(3 * i + static_cast<std::uint32_t>(round));
     }
-    cached.run_steps(3'000);
-    for (int s = 0; s < 3'000; ++s) uncached.step();
-    for (std::size_t i = 0; i < 20; ++i) {
-      const std::size_t a = 3 * i + static_cast<std::size_t>(round);
-      cached.rejoin_agent(a, fresh);
-      uncached.rejoin_agent(a, fresh);
+    eng.run_steps(3'000);
+    for (int s = 0; s < 3'000; ++s) ref.step();
+    for (std::uint32_t i = 0; i < 20; ++i) {
+      const std::uint32_t a = 3 * i + static_cast<std::uint32_t>(round);
+      eng.rejoin_agent(a, fresh);
+      ref.rejoin(a, fresh);
     }
-    expect_identical(cached, uncached, "churn");
+    expect_identical(eng, ref, "churn");
   }
 }
 
 TEST(EngineEquivalence, ExternalMutationResyncsShadow) {
   // Writing states through population() bypasses the engine; the version
-  // counter must invalidate the sidx_ shadow so the cached path relearns
+  // counter must invalidate the sidx_ shadow so the engine relearns
   // instead of acting on stale indices.
   const Fixture f = oscillator_fixture(256);
-  Engine cached(f.proto, f.init, /*seed=*/25);
-  Engine uncached(f.proto, f.init, /*seed=*/25);
-  uncached.set_transition_cache(false);
+  Engine eng(f.proto, f.init, /*seed=*/25);
+  ReferenceEngine ref(f.proto, f.init, /*seed=*/25);
   for (int round = 0; round < 8; ++round) {
-    cached.run_steps(2'500);
-    for (int s = 0; s < 2'500; ++s) uncached.step();
+    eng.run_steps(2'500);
+    for (int s = 0; s < 2'500; ++s) ref.step();
     for (std::size_t i = 0; i < 32; ++i) {
       const State s = f.init[(i * 7 + static_cast<std::size_t>(round)) %
                              f.init.size()];
-      cached.population().set_state(i, s);
-      uncached.population().set_state(i, s);
+      eng.population().set_state(i, s);
+      ref.set_state(i, s);
     }
-    expect_identical(cached, uncached, "external mutation");
+    expect_identical(eng, ref, "external mutation");
   }
 }
 
 TEST(EngineEquivalence, TinyCapEngineStillBitIdentical) {
-  // An engine whose cache cap overflows constantly (kNoState inputs and
-  // results) must fall back per pair and still match the uncached engine.
+  // A kernel whose cache cap overflows constantly (kNoState inputs and
+  // results) must fall back per pair and still match: a shadow stepper
+  // resolving every draw through a two-state TransitionCache::sample
+  // tracks both the engine and the uncached reference.
   auto vars = make_var_space();
   Protocol p = make_phase_clock_protocol(vars);
   std::vector<State> init = phase_clock_initial_states(128, 8, *vars);
-  // Exercise the fallback through the public surface: an uncached engine is
-  // the reference, and a second reference built over the tiny-cap cache via
-  // TransitionCache::sample drives the same draws.
   TransitionCache tiny(p, /*max_states=*/2);
-  Engine uncached(p, init, /*seed=*/26);
-  uncached.set_transition_cache(false);
+  Engine eng(p, init, /*seed=*/26);
+  ReferenceEngine ref(p, init, /*seed=*/26);
   Rng shadow(26);  // replays the engine's draw order: pair, then uniform
   for (int s = 0; s < 30'000; ++s) {
     const auto [a, b] = shadow.distinct_pair(init.size());
@@ -289,64 +291,62 @@ TEST(EngineEquivalence, TinyCapEngineStillBitIdentical) {
     const PairOutcome o = tiny.sample(init[a], init[b], u);
     init[a] = o.a;
     init[b] = o.b;
-    uncached.step();
+    eng.step();
+    ref.step();
   }
   EXPECT_TRUE(tiny.cap_reached());
-  for (std::size_t i = 0; i < init.size(); ++i)
-    ASSERT_EQ(init[i], uncached.population().state(i)) << i;
+  for (std::size_t i = 0; i < init.size(); ++i) {
+    ASSERT_EQ(init[i], eng.population().state(i)) << i;
+    ASSERT_EQ(init[i], ref.states()[i]) << i;
+  }
 }
 
 // ---------------------------------------------------------------------------
-// CountEngine equivalence: identical statistics cached vs uncached, in both
-// direct and skip-ahead modes.
+// CountEngine equivalence: identical statistics memoized vs the uncached
+// reference, in both direct and skip-ahead modes.
 // ---------------------------------------------------------------------------
 
 TEST(CountEngineEquivalence, SkipModeDv12ToSilence) {
-  auto run = [](bool use_cache) {
-    auto vars = make_var_space();
-    const Protocol p = make_dv12_majority_protocol(vars);
-    const State ma =
-        var_bit(*vars->find("MA")) | var_bit(*vars->find("STRONG"));
-    const State mb =
-        var_bit(*vars->find("MB")) | var_bit(*vars->find("STRONG"));
-    CountEngine eng(p, {{ma, 2'060}, {mb, 2'036}}, /*seed=*/31,
-                    CountEngineMode::kSkip);
-    eng.set_transition_cache(use_cache);
-    while (eng.step()) {
-    }
-    return std::tuple{eng.interactions(), eng.effective_interactions(),
-                      eng.rounds(), eng.species()};
-  };
-  const auto [ic, ec, rc, sc] = run(true);
-  const auto [iu, eu, ru, su] = run(false);
-  EXPECT_EQ(ic, iu);
-  EXPECT_EQ(ec, eu);
-  EXPECT_DOUBLE_EQ(rc, ru);
-  EXPECT_EQ(sc, su);
-  EXPECT_GT(ic, ec);  // skip mode must actually have skipped no-ops
+  auto vars = make_var_space();
+  const Protocol p = make_dv12_majority_protocol(vars);
+  const State ma = var_bit(*vars->find("MA")) | var_bit(*vars->find("STRONG"));
+  const State mb = var_bit(*vars->find("MB")) | var_bit(*vars->find("STRONG"));
+  const std::vector<std::pair<State, std::uint64_t>> init = {{ma, 2'060},
+                                                             {mb, 2'036}};
+  CountEngine eng(p, init, /*seed=*/31, CountEngineMode::kSkip);
+  ReferenceCountEngine ref(p, init, /*seed=*/31);
+  bool eng_alive = true, ref_alive = true;
+  while (eng_alive || ref_alive) {
+    eng_alive = eng.step();
+    ref_alive = ref.skip_step();
+    ASSERT_EQ(eng_alive, ref_alive);
+  }
+  EXPECT_EQ(eng.interactions(), ref.interactions());
+  EXPECT_EQ(eng.effective_interactions(), ref.effective());
+  EXPECT_EQ(eng.rounds(), ref.rounds());
+  EXPECT_EQ(eng.species(), ref.species());
+  // skip mode must actually have skipped no-ops
+  EXPECT_GT(eng.interactions(), eng.effective_interactions());
 }
 
 TEST(CountEngineEquivalence, DirectModeOscillator) {
-  auto run = [](bool use_cache) {
-    auto vars = make_var_space();
-    const Protocol p = make_oscillator_protocol(vars);
-    const auto x = *vars->find(kOscX);
-    std::vector<std::pair<State, std::uint64_t>> init;
-    init.emplace_back(var_bit(x), 64);
-    for (int s = 0; s < 3; ++s)
-      init.emplace_back(oscillator_state(s, 0, *vars), 1'000);
-    CountEngine eng(p, std::move(init), /*seed=*/32, CountEngineMode::kDirect);
-    eng.set_transition_cache(use_cache);
-    for (int s = 0; s < 50'000; ++s) eng.step();
-    return std::tuple{eng.interactions(), eng.effective_interactions(),
-                      eng.rounds(), eng.species()};
-  };
-  const auto [ic, ec, rc, sc] = run(true);
-  const auto [iu, eu, ru, su] = run(false);
-  EXPECT_EQ(ic, iu);
-  EXPECT_EQ(ec, eu);
-  EXPECT_DOUBLE_EQ(rc, ru);
-  EXPECT_EQ(sc, su);
+  auto vars = make_var_space();
+  const Protocol p = make_oscillator_protocol(vars);
+  const auto x = *vars->find(kOscX);
+  std::vector<std::pair<State, std::uint64_t>> init;
+  init.emplace_back(var_bit(x), 64);
+  for (int s = 0; s < 3; ++s)
+    init.emplace_back(oscillator_state(s, 0, *vars), 1'000);
+  CountEngine eng(p, init, /*seed=*/32, CountEngineMode::kDirect);
+  ReferenceCountEngine ref(p, init, /*seed=*/32);
+  for (int s = 0; s < 50'000; ++s) {
+    eng.step();
+    ref.direct_step();
+  }
+  EXPECT_EQ(eng.interactions(), ref.interactions());
+  EXPECT_EQ(eng.effective_interactions(), ref.effective());
+  EXPECT_EQ(eng.rounds(), ref.rounds());
+  EXPECT_EQ(eng.species(), ref.species());
 }
 
 // ---------------------------------------------------------------------------
