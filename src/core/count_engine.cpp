@@ -14,6 +14,9 @@ namespace {
 constexpr std::uint64_t kAutoWindow = 512;
 constexpr double kSwitchToSkipBelow = 0.08;
 constexpr double kSwitchToDirectAbove = 0.25;
+// Change-weight table entry not yet filled (real weights are >= 0).
+constexpr double kUnfilled = -1.0;
+constexpr std::uint32_t kNoState = TransitionCache::kNoState;
 
 // Batch cap: the most interactions one batch may span. A batch ends at its
 // first collision anyway, so the cap only needs to clear the collision-free run
@@ -79,15 +82,58 @@ void CountEngine::maybe_fire_injection() {
 
 void CountEngine::add_count(State s, std::uint64_t delta) {
   if (delta == 0) return;
-  auto it = index_.find(s);
-  if (it == index_.end()) {
-    index_.emplace(s, states_.size());
-    states_.push_back(s);
-    counts_.push_back(delta);
-  } else {
-    counts_[it->second] += delta;
-  }
+  counts_[slot_for(s)] += delta;
   n_ += delta;
+}
+
+std::size_t CountEngine::slot_for(State s) {
+  const std::uint32_t x = cache_.state_index(s);
+  if (x != kNoState) return slot_for_index(x);
+  for (std::size_t i = 0; i < states_.size(); ++i)
+    if (slot_idx_[i] == kNoState && states_[i] == s) return i;
+  return append_slot(s, kNoState);
+}
+
+std::size_t CountEngine::slot_for_index(std::uint32_t x) {
+  if (x < slot_of_.size() && slot_of_[x] != kNoSpecies) return slot_of_[x];
+  return append_slot(cache_.state_at(x), x);
+}
+
+std::size_t CountEngine::append_slot(State s, std::uint32_t x) {
+  const std::size_t slot = states_.size();
+  states_.push_back(s);
+  counts_.push_back(0);
+  slot_idx_.push_back(x);
+  if (x != kNoState) {
+    if (x >= slot_of_.size())
+      slot_of_.resize(std::max<std::size_t>(x + 1, cache_.num_states()),
+                      kNoSpecies);
+    slot_of_[x] = slot;
+  }
+  return slot;
+}
+
+void CountEngine::extend_change_weights() {
+  std::size_t stride = std::max<std::size_t>(8, cw_stride_);
+  while (stride < states_.size()) stride *= 2;
+  std::vector<double> grown(stride * stride, kUnfilled);
+  for (std::size_t i = 0; i < cw_stride_; ++i)
+    std::copy_n(&cw_[i * cw_stride_], cw_stride_, &grown[i * stride]);
+  cw_ = std::move(grown);
+  cw_stride_ = stride;
+}
+
+void CountEngine::clear_slots() {
+  for (const std::uint32_t x : slot_idx_)
+    if (x != kNoState) slot_of_[x] = kNoSpecies;
+  states_.clear();
+  counts_.clear();
+  slot_idx_.clear();
+  drop_change_weights();
+}
+
+void CountEngine::drop_change_weights() {
+  std::fill(cw_.begin(), cw_.end(), kUnfilled);
 }
 
 void CountEngine::remove_count(std::size_t index, std::uint64_t delta) {
@@ -97,17 +143,24 @@ void CountEngine::remove_count(std::size_t index, std::uint64_t delta) {
 }
 
 void CountEngine::compact() {
-  std::vector<State> ns;
-  std::vector<std::uint64_t> nc;
-  index_.clear();
+  if (std::find(counts_.begin(), counts_.end(), 0) == counts_.end()) return;
+  std::size_t kept = 0;
   for (std::size_t i = 0; i < states_.size(); ++i) {
-    if (counts_[i] == 0) continue;
-    index_.emplace(states_[i], ns.size());
-    ns.push_back(states_[i]);
-    nc.push_back(counts_[i]);
+    const std::uint32_t x = slot_idx_[i];
+    if (counts_[i] == 0) {
+      if (x != kNoState) slot_of_[x] = kNoSpecies;
+      continue;
+    }
+    states_[kept] = states_[i];
+    counts_[kept] = counts_[i];
+    slot_idx_[kept] = x;
+    if (x != kNoState) slot_of_[x] = kept;
+    ++kept;
   }
-  states_ = std::move(ns);
-  counts_ = std::move(nc);
+  states_.resize(kept);
+  counts_.resize(kept);
+  slot_idx_.resize(kept);
+  drop_change_weights();
 }
 
 std::size_t CountEngine::sample_species(std::size_t exclude_one_of) {
@@ -210,17 +263,37 @@ std::uint64_t CountEngine::mutate_random_agents(
   return k;
 }
 
-void CountEngine::apply_change(std::size_t ia, std::size_t ib) {
+bool CountEngine::resolve_pair(std::size_t ia, std::size_t ib, double u,
+                               bool change_only) {
+  const std::uint32_t xa = slot_idx_[ia];
+  const std::uint32_t xb = slot_idx_[ib];
+  if (xa != kNoState && xb != kNoState) {
+    const IndexedPair o = change_only ? cache_.sample_change_indexed(xa, xb, u)
+                                      : cache_.sample_indexed(xa, xb, u);
+    if (o.a == xa && o.b == xb) return false;
+    if (o.a != kNoState && o.b != kNoState) {
+      --counts_[ia];
+      --counts_[ib];
+      ++counts_[slot_for_index(o.a)];
+      ++counts_[slot_for_index(o.b)];
+      return true;
+    }
+    // A result state is past the cache's cap: redo the same draw by value.
+  }
   const State sa = states_[ia];
   const State sb = states_[ib];
-  const double u01 = rng_.uniform();
-  const PairOutcome o = cache_.sample_change(sa, sb, u01);
-  if (o.a == sa && o.b == sb) return;
-  remove_count(ia, 1);
-  remove_count(ib, 1);
-  add_count(o.a, 1);
-  add_count(o.b, 1);
-  ++effective_;
+  const PairOutcome o = change_only ? cache_.sample_change(sa, sb, u)
+                                    : cache_.sample(sa, sb, u);
+  if (o.a == sa && o.b == sb) return false;
+  --counts_[ia];
+  --counts_[ib];
+  ++counts_[slot_for(o.a)];
+  ++counts_[slot_for(o.b)];
+  return true;
+}
+
+void CountEngine::apply_change(std::size_t ia, std::size_t ib) {
+  if (resolve_pair(ia, ib, rng_.uniform(), /*change_only=*/true)) ++effective_;
 }
 
 void CountEngine::direct_step() {
@@ -243,35 +316,33 @@ void CountEngine::direct_step() {
 
   // One fused draw covers thread choice (incl. empty-thread padding mass),
   // rule choice, and the outcome coin; see core/transition_cache.hpp.
-  const State sa = states_[ia];
-  const State sb = states_[ib];
-  const double u = rng_.uniform();
-  const PairOutcome o = cache_.sample(sa, sb, u);
-  if (o.a == sa && o.b == sb) return;
-  remove_count(ia, 1);
-  remove_count(ib, 1);
-  add_count(o.a, 1);
-  add_count(o.b, 1);
+  if (!resolve_pair(ia, ib, rng_.uniform(), /*change_only=*/false)) return;
   ++effective_;
   ++window_effective_;
 }
 
 void CountEngine::rebuild_events() {
   compact();
+  if (states_.size() > cw_stride_) extend_change_weights();
   events_.clear();
   events_total_weight_ = 0.0;
   const double pair_norm =
       1.0 / (static_cast<double>(n_) * static_cast<double>(n_ - 1));
-  // Pair-major: one fused change weight per ordered species pair replaces
-  // the old rule-major triple loop, so the event list is |S|^2 instead of
-  // |rules| * |S|^2 and the weights come straight from the memo.
+  // Pair-major: one fused change weight per ordered species pair, so the
+  // event list is |S|^2 entries read from the per-slot table. An entry is
+  // filled the first time this loop reaches its pair; filling pairs it
+  // never reaches would build cache entries (and move cache_builds) that
+  // the trajectory never asked for.
   for (std::size_t i = 0; i < states_.size(); ++i) {
+    double* cw_row = cw_.data() + i * cw_stride_;
     for (std::size_t j = 0; j < states_.size(); ++j) {
       const double pairs =
           static_cast<double>(counts_[i]) *
           (static_cast<double>(counts_[j]) - (i == j ? 1.0 : 0.0));
       if (pairs <= 0.0) continue;
-      const double cw = cache_.change_weight(states_[i], states_[j]);
+      if (cw_row[j] == kUnfilled)
+        cw_row[j] = cache_.change_weight(states_[i], states_[j]);
+      const double cw = cw_row[j];
       if (cw <= 0.0) continue;
       const double w = pairs * pair_norm * cw;
       events_.push_back(Event{w, i, j});
@@ -345,13 +416,10 @@ bool CountEngine::batch_allowed() const {
 }
 
 std::size_t CountEngine::batch_species_slot(State s) {
-  auto it = index_.find(s);
-  if (it != index_.end()) return it->second;
-  index_.emplace(s, states_.size());
-  states_.push_back(s);
-  counts_.push_back(0);
-  bat_touched_.push_back(0);
-  return states_.size() - 1;
+  const std::size_t slot = slot_for(s);
+  if (bat_touched_.size() < states_.size())
+    bat_touched_.resize(states_.size(), 0);
+  return slot;
 }
 
 std::uint64_t CountEngine::batch_apply_pair(std::size_t ia, std::size_t ib,
@@ -795,20 +863,22 @@ void CountEngine::restore(std::istream& in) {
   if (crashed_sum != st.crashed_n ||
       st.n + st.crashed_n != reader.population_n())
     throw SnapshotError(SnapshotErrc::kCorrupt, "population size mismatch");
-  std::unordered_map<State, std::size_t> staged_index;
-  staged_index.reserve(st.states.size());
-  for (std::size_t i = 0; i < st.states.size(); ++i)
-    if (!staged_index.emplace(st.states[i], i).second)
-      throw SnapshotError(SnapshotErrc::kCorrupt, "duplicate species entry");
+  std::vector<State> sorted_states = st.states;
+  std::sort(sorted_states.begin(), sorted_states.end());
+  if (std::adjacent_find(sorted_states.begin(), sorted_states.end()) !=
+      sorted_states.end())
+    throw SnapshotError(SnapshotErrc::kCorrupt, "duplicate species entry");
   if (st.rng == std::array<std::uint64_t, 4>{})
     throw SnapshotError(SnapshotErrc::kCorrupt, "all-zero RNG state");
   if (!(st.time >= 0.0) || !(st.events_total_weight >= 0.0))  // rejects NaN
     throw SnapshotError(SnapshotErrc::kCorrupt, "negative time or weight");
 
-  // Commit with throw-free moves.
-  states_ = std::move(st.states);
-  counts_ = std::move(st.counts);
-  index_ = std::move(staged_index);
+  // Commit. Re-registering the species table (in its exact order, zero
+  // slots included) is the only step that can allocate.
+  clear_slots();
+  for (std::size_t i = 0; i < st.states.size(); ++i)
+    counts_[append_slot(st.states[i], cache_.state_index(st.states[i]))] =
+        st.counts[i];
   n_ = st.n;
   crashed_ = std::move(st.crashed);
   crashed_n_ = st.crashed_n;
@@ -839,9 +909,7 @@ void CountEngine::restore(std::istream& in) {
 
 void CountEngine::reset_population(
     const std::vector<std::pair<State, std::uint64_t>>& counts) {
-  states_.clear();
-  counts_.clear();
-  index_.clear();
+  clear_slots();
   n_ = 0;
   for (const auto& [s, c] : counts) add_count(s, c);
   POPPROTO_CHECK_MSG(n_ >= 2, "population needs at least 2 agents");
@@ -854,8 +922,9 @@ void CountEngine::reset_population(
 }
 
 std::uint64_t CountEngine::count_state(State s) const {
-  auto it = index_.find(s);
-  return it == index_.end() ? 0 : counts_[it->second];
+  for (std::size_t i = 0; i < states_.size(); ++i)
+    if (states_[i] == s) return counts_[i];
+  return 0;
 }
 
 std::uint64_t CountEngine::count_matching(const Guard& g) const {

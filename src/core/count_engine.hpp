@@ -22,7 +22,6 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "core/injection.hpp"
@@ -125,6 +124,13 @@ class CountEngine final : public SimBackend {
 
   /// All species with nonzero count (scheduled agents only).
   std::vector<std::pair<State, std::uint64_t>> species() const override;
+  /// Call f(state, count) for each species() entry, in the same order,
+  /// without building the vector.
+  template <class F>
+  void for_each_species(F&& f) const {
+    for (std::size_t i = 0; i < states_.size(); ++i)
+      if (counts_[i] > 0) f(states_[i], counts_[i]);
+  }
   /// Crashed agents' frozen states, by species.
   std::vector<std::pair<State, std::uint64_t>> crashed_species() const;
 
@@ -184,6 +190,8 @@ class CountEngine final : public SimBackend {
   Sampler choose_sampler();
   /// kAuto hysteresis over a tumbling window of direct steps.
   void maybe_toggle_auto_skip();
+  /// Remove zero-count slots in place (order kept). A no-op unless some
+  /// species went extinct; a removal drops the change-weight table.
   void compact();
   void direct_step();
   /// One geometric skip-ahead jump plus the effective interaction it lands
@@ -199,8 +207,7 @@ class CountEngine final : public SimBackend {
   /// can fire.
   void batch_step(double limit);
   bool batch_allowed() const;
-  /// Index of `s` in states_ (appending a zero-count slot if new), keeping
-  /// the batch scratch vectors sized in lockstep.
+  /// slot_for(s), keeping the batch scratch vectors sized in lockstep.
   std::size_t batch_species_slot(State s);
   /// Apply `k` aggregated interactions of the ordered species pair (ia, ib)
   /// into the touched multiset; returns the number that changed state.
@@ -218,7 +225,26 @@ class CountEngine final : public SimBackend {
   /// Apply one state-changing interaction to the ordered species pair,
   /// drawing from the conditional-on-change fused distribution.
   void apply_change(std::size_t ia, std::size_t ib);
+  /// Resolve one interaction of the species pair (ia, ib) from the uniform
+  /// draw `u` — a scheduler step, or with `change_only` a draw conditioned
+  /// on a change — and move the two agents to their result species. Goes
+  /// through the cache by interned index (no State hashing) unless a state
+  /// is past the cache's cap. Returns whether any state changed.
+  bool resolve_pair(std::size_t ia, std::size_t ib, double u, bool change_only);
   void add_count(State s, std::uint64_t delta);
+  /// Slot of `s` in states_, appending a zero-count slot if new.
+  std::size_t slot_for(State s);
+  /// Same for a state given by a valid interned cache index.
+  std::size_t slot_for_index(std::uint32_t x);
+  /// Append a zero-count slot for `s` (interned index `x`, or kNoState).
+  std::size_t append_slot(State s, std::uint32_t x);
+  /// Empty the species table and everything indexed by slot.
+  void clear_slots();
+  /// Re-stride the change-weight table to cover every slot, keeping the
+  /// filled entries (slots were appended since the last rebuild).
+  void extend_change_weights();
+  /// Mark every change-weight table entry unfilled (slot order changed).
+  void drop_change_weights();
   void remove_count(std::size_t index, std::uint64_t delta);
   /// A uniformly chosen scheduled agent's species, optionally with one agent
   /// of species `exclude_one_of` left out (the initiator of a pair).
@@ -230,7 +256,22 @@ class CountEngine final : public SimBackend {
   TransitionCache cache_;
   std::vector<State> states_;
   std::vector<std::uint64_t> counts_;
-  std::unordered_map<State, std::size_t> index_;
+  // Interned cache index of each slot's state (TransitionCache::kNoState
+  // past the cache's cap), and the inverse map from interned index to slot
+  // (kNoSpecies for states without a slot). Past-cap states are found by a
+  // scan of states_ instead.
+  std::vector<std::uint32_t> slot_idx_;
+  std::vector<std::size_t> slot_of_;
+  // Per-slot change weights for rebuild_events: cw_[i * cw_stride_ + j] is
+  // cache_.change_weight(states_[i], states_[j]), or kUnfilled. Entries are
+  // filled lazily, only for pairs rebuild_events reaches with a positive
+  // pair count, so the cache builds exactly the pairs a per-jump probe
+  // would (its build count is snapshot state). rebuild_events extends the
+  // table over slots appended since it last ran; anything that reorders
+  // slots drops it. Entries of rows/columns >= states_.size() are always
+  // unfilled.
+  std::vector<double> cw_;
+  std::size_t cw_stride_ = 0;
   std::uint64_t n_ = 0;
   Rng rng_;
   CountEngineMode mode_;

@@ -13,6 +13,9 @@ namespace popproto {
 
 namespace {
 
+// mig_slot_of_ entry of a state with no pooled entry.
+constexpr std::size_t kNoEntry = ~std::size_t{0};
+
 std::uint64_t total_count(
     const std::vector<std::pair<State, std::uint64_t>>& initial) {
   std::uint64_t n = 0;
@@ -121,18 +124,9 @@ CountShardEngine::CountShardEngine(
     // Initial deal = the same hypergeometric partition migration uses,
     // drawn on the migration stream before round 0. Merge duplicate
     // species first (first-appearance order).
-    mig_states_.clear();
-    mig_counts_.clear();
-    std::unordered_map<State, std::size_t> idx;
-    for (const auto& [s, c] : initial) {
-      if (c == 0) continue;
-      const auto [it, inserted] = idx.emplace(s, mig_states_.size());
-      if (inserted) {
-        mig_states_.push_back(s);
-        mig_counts_.push_back(0);
-      }
-      mig_counts_[it->second] += c;
-    }
+    pool_clear();
+    for (const auto& [s, c] : initial)
+      if (c > 0) pool_add(s, c);
     std::uint64_t remaining = n;
     const std::uint64_t base = n / S;
     const std::uint64_t extra = n % S;
@@ -209,22 +203,47 @@ bool CountShardEngine::all_shards_silent() const {
   return true;
 }
 
-std::uint64_t CountShardEngine::pool_scheduled() {
+void CountShardEngine::pool_clear() {
+  for (const std::uint32_t x : mig_idx_)
+    if (x != TransitionCache::kNoState) mig_slot_of_[x] = kNoEntry;
   mig_states_.clear();
   mig_counts_.clear();
-  std::unordered_map<State, std::size_t> idx;
-  std::uint64_t total = 0;
-  for (const auto& sub : shards_) {
-    for (const auto& [s, c] : sub->species()) {
-      const auto [it, inserted] = idx.emplace(s, mig_states_.size());
-      if (inserted) {
-        mig_states_.push_back(s);
-        mig_counts_.push_back(0);
-      }
-      mig_counts_[it->second] += c;
-      total += c;
+  mig_idx_.clear();
+}
+
+void CountShardEngine::pool_add(State s, std::uint64_t c) {
+  const std::uint32_t x = cache_.state_index(s);
+  std::size_t at = kNoEntry;
+  if (x == TransitionCache::kNoState) {
+    for (std::size_t i = 0; i < mig_states_.size() && at == kNoEntry; ++i)
+      if (mig_idx_[i] == TransitionCache::kNoState && mig_states_[i] == s)
+        at = i;
+  } else if (x < mig_slot_of_.size()) {
+    at = mig_slot_of_[x];
+  }
+  if (at == kNoEntry) {
+    at = mig_states_.size();
+    mig_states_.push_back(s);
+    mig_counts_.push_back(0);
+    mig_idx_.push_back(x);
+    if (x != TransitionCache::kNoState) {
+      if (x >= mig_slot_of_.size())
+        mig_slot_of_.resize(std::max<std::size_t>(x + 1, cache_.num_states()),
+                            kNoEntry);
+      mig_slot_of_[x] = at;
     }
   }
+  mig_counts_[at] += c;
+}
+
+std::uint64_t CountShardEngine::pool_scheduled() {
+  pool_clear();
+  std::uint64_t total = 0;
+  for (const auto& sub : shards_)
+    sub->for_each_species([&](State s, std::uint64_t c) {
+      pool_add(s, c);
+      total += c;
+    });
   return total;
 }
 

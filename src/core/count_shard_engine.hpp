@@ -169,6 +169,10 @@ class CountShardEngine final : public SimBackend {
   /// Pool every shard's scheduled species counts into mig_states_ /
   /// mig_counts_ (first-appearance scan order); returns the total.
   std::uint64_t pool_scheduled();
+  /// Empty the pooled table (keeping its capacity).
+  void pool_clear();
+  /// Add `c` agents of `s` to the pooled table, appending `s` if new.
+  void pool_add(State s, std::uint64_t c);
   /// Pool all scheduled species counts and deal them back into shard-sized
   /// subsets by multivariate-hypergeometric draws on the migration stream
   /// (the last shard takes the forced remainder, consuming no draws).
@@ -207,6 +211,11 @@ class CountShardEngine final : public SimBackend {
   // members so steady-state migrations allocate nothing.
   std::vector<State> mig_states_;
   std::vector<std::uint64_t> mig_counts_;
+  // Pooled-table index: each entry's interned cache_ index (kNoState past
+  // the cache's cap; those entries are found by a scan) and the inverse
+  // map from interned index to entry.
+  std::vector<std::uint32_t> mig_idx_;
+  std::vector<std::size_t> mig_slot_of_;
   std::vector<std::uint64_t> mig_deal_;
   std::vector<std::pair<State, std::uint64_t>> mig_init_;
 };

@@ -52,12 +52,7 @@ TransitionCache::TransitionCache(const Protocol& protocol,
     }
   }
 
-  // Probe table sized for the cap up front (load factor <= 1/2).
-  std::size_t cap = 16;
-  while (cap < 2 * max_states_) cap <<= 1;
-  map_keys_.assign(cap, 0);
-  map_vals_.assign(cap, kNoIndex);
-  map_mask_ = cap - 1;
+  rehash(16);
 }
 
 PairOutcome TransitionCache::sample_uncached(State sa, State sb,
@@ -168,12 +163,27 @@ std::uint32_t TransitionCache::intern(State s) {
   states_.push_back(s);
   map_keys_[i] = s;
   map_vals_[i] = idx;
+  if (2 * states_.size() > map_mask_ + 1) rehash(2 * (map_mask_ + 1));
   if (states_.size() > stride_) grow_stride(states_.size());
   return idx;
 }
 
+void TransitionCache::rehash(std::size_t capacity) {
+  map_keys_.assign(capacity, 0);
+  map_vals_.assign(capacity, kNoIndex);
+  map_mask_ = capacity - 1;
+  for (std::uint32_t idx = 0; idx < states_.size(); ++idx) {
+    std::size_t i = hash_state(states_[idx]) & map_mask_;
+    while (map_vals_[i] != kNoIndex) i = (i + 1) & map_mask_;
+    map_keys_[i] = states_[idx];
+    map_vals_[i] = idx;
+  }
+}
+
 void TransitionCache::grow_stride(std::size_t need) {
-  std::size_t ns = stride_ == 0 ? 64 : stride_;
+  // Start small: engines intern their initial species at construction, so
+  // the first tables are built during set-up; doubling covers the rest.
+  std::size_t ns = stride_ == 0 ? 8 : stride_;
   while (ns < need) ns <<= 1;
   if (ns > max_states_) ns = max_states_;
   if (ns == stride_) return;
@@ -300,6 +310,8 @@ std::int32_t TransitionCache::build_dist(State sa, State sb) {
   for (std::uint32_t i = d.ubegin; i != d.uend; ++i)
     uentries_.push_back(
         UEntry{ucum_[i], intern(ures_[i].a), intern(ures_[i].b)});
+  for (std::uint32_t i = d.cbegin; i != d.cend; ++i)
+    cidx_.push_back(IndexedPair{intern(cres_[i].a), intern(cres_[i].b)});
   dists_.push_back(d);
   return static_cast<std::int32_t>(dists_.size() - 1);
 }
@@ -321,17 +333,21 @@ double TransitionCache::change_weight(State sa, State sb) {
   return d->change_weight;
 }
 
+std::uint32_t TransitionCache::change_category(const Dist& d,
+                                               double u01) const {
+  POPPROTO_DCHECK(d.cend > d.cbegin);
+  const double u = u01 * d.change_weight;
+  const double* cum = ccum_.data() + d.cbegin;
+  const std::uint32_t m = d.cend - d.cbegin;
+  for (std::uint32_t k = 0; k + 1 < m; ++k)
+    if (u < cum[k]) return k;
+  return m - 1;  // last changing outcome doubles as the slack fallback
+}
+
 PairOutcome TransitionCache::sample_change(State sa, State sb, double u01) {
   const Dist* d = pair_dist(sa, sb);
   if (d == nullptr) return sample_change_uncached(sa, sb, u01);
-  POPPROTO_DCHECK(d->cend > d->cbegin);
-  const double u = u01 * d->change_weight;
-  const double* cum = ccum_.data() + d->cbegin;
-  const PairOutcome* res = cres_.data() + d->cbegin;
-  const std::uint32_t m = d->cend - d->cbegin;
-  for (std::uint32_t k = 0; k + 1 < m; ++k)
-    if (u < cum[k]) return res[k];
-  return res[m - 1];  // last changing outcome doubles as the slack fallback
+  return cres_[d->cbegin + change_category(*d, u01)];
 }
 
 }  // namespace popproto

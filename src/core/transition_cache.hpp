@@ -157,6 +157,17 @@ class TransitionCache {
     return IndexedPair{ia, ib};
   }
 
+  /// `sample_change` on a pair already interned as (ia, ib): the same `u01`
+  /// selects the same changing outcome, returned as interned indices (a
+  /// component is kNoState when that result state is past the cap; the
+  /// caller then falls back to `sample_change`). Builds the pair on first
+  /// sight without a State -> index probe. Precondition as sample_change.
+  IndexedPair sample_change_indexed(std::uint32_t ia, std::uint32_t ib,
+                                    double u01) {
+    const Dist* d = pair_dist_indexed(ia, ib);
+    return cidx_[d->cbegin + change_category(*d, u01)];
+  }
+
   /// Vectorized batch companion to sample_indexed (dispatched through
   /// support/simd.hpp): bit j of the result is set when u[j] < the pair's
   /// last breakpoint — the draw may change state, or the pair is unbuilt
@@ -228,7 +239,12 @@ class TransitionCache {
   /// its freshly written pair_uref_ entry.
   std::uint64_t build_pair_ref(std::uint32_t ia, std::uint32_t ib);
   std::int32_t build_dist(State sa, State sb);
+  /// Offset (from d.cbegin) of the conditional-on-change category that
+  /// `u01` selects; shared by sample_change and sample_change_indexed.
+  std::uint32_t change_category(const Dist& d, double u01) const;
   void grow_stride(std::size_t need);
+  /// Rebuild the probe table at `capacity` (a power of two) from states_.
+  void rehash(std::size_t capacity);
 
   // -- Per-protocol fused partition (built once in the constructor) ---------
   std::vector<Slot> slots_;
@@ -245,7 +261,9 @@ class TransitionCache {
   bool cap_reached_ = false;
   std::uint64_t builds_ = 0;
   std::vector<State> states_;
-  // Open-addressing State -> index map (power-of-two capacity, linear probe).
+  // Open-addressing State -> index map (power-of-two capacity, linear probe,
+  // load factor <= 1/2 — so a probe for an absent state always ends, also
+  // once the cap stops interning). Grows with states_, like the pair tables.
   std::vector<State> map_keys_;
   std::vector<std::uint32_t> map_vals_;
   std::size_t map_mask_ = 0;
@@ -265,6 +283,9 @@ class TransitionCache {
   std::vector<PairOutcome> ures_;
   std::vector<double> ccum_;
   std::vector<PairOutcome> cres_;
+  // cres_ as interned indices (index-aligned with ccum_/cres_), for
+  // sample_change_indexed.
+  std::vector<IndexedPair> cidx_;
 };
 
 }  // namespace popproto

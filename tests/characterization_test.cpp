@@ -8,9 +8,12 @@
 //
 // The recorded values come from the implementation in which CountEngine's
 // step() and run_rounds() each carried their own mode dispatch and
-// skip-ahead sampler and every engine its own run_until loop; any change
-// that keeps seeded trajectories bit-identical leaves them unchanged. On a
-// mismatch the failure message prints the observed row in table form.
+// skip-ahead sampler and every engine its own run_until loop; the
+// count/phase_clock pins come from the later engine that rebuilt its species
+// index and probed the transition cache by state on every skip-ahead jump.
+// Any change that keeps seeded trajectories bit-identical leaves them
+// unchanged. On a mismatch the failure message prints the observed row in
+// table form.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -52,6 +55,19 @@ const std::map<std::string, Pin>& pins() {
       {"agent/sequential/run_until", {0x810d6566u, 204800ull, 0x4049000000000000ull}},
       {"count/faults/approx_majority", {0x21651e78u, 275252ull, 0x4051001000000040ull}},
       {"count/faults/dv12_majority", {0xf71aba3eu, 1135412ull, 0x4071600400000010ull}},
+      // CRC of the species table, not of the snapshot (see the test).
+      {"count/past_cap/auto", {0x59d35b27u, 2200ull, 0x4000000000000060ull}},
+      {"count/past_cap/batch", {0xd478f46au, 2201ull, 0x400001dca01dca01ull}},
+      {"count/past_cap/direct", {0x59d35b27u, 2200ull, 0x4000000000000060ull}},
+      {"count/past_cap/skip", {0x3f25d186u, 212ull, 0x3fc8ab498ab498abull}},
+      {"count/phase_clock/auto/1", {0xe0cf84e0u, 49152ull, 0x4028000000000000ull}},
+      {"count/phase_clock/auto/2", {0x2e3d89dbu, 49152ull, 0x4028000000000000ull}},
+      {"count/phase_clock/batch/1", {0x44f0609fu, 49152ull, 0x4028000000000000ull}},
+      {"count/phase_clock/batch/2", {0xdb9d3104u, 49152ull, 0x4028000000000000ull}},
+      {"count/phase_clock/direct/1", {0xd7c7be2du, 49152ull, 0x4028000000000000ull}},
+      {"count/phase_clock/direct/2", {0x4c3184aeu, 49152ull, 0x4028000000000000ull}},
+      {"count/phase_clock/skip/1", {0xa784017au, 49152ull, 0x4028000000000000ull}},
+      {"count/phase_clock/skip/2", {0x61b7ce21u, 49152ull, 0x4028000000000000ull}},
       {"count/run_rounds/approx_majority/auto/1", {0x612c1414u, 188416ull, 0x4047000000000000ull}},
       {"count/run_rounds/approx_majority/auto/2", {0xfbcbcb17u, 266240ull, 0x4050400000000000ull}},
       {"count/run_rounds/approx_majority/batch/1", {0xb87d8fddu, 229376ull, 0x404c000000000000ull}},
@@ -92,11 +108,7 @@ const std::map<std::string, Pin>& pins() {
   return table;
 }
 
-void expect_pinned(const std::string& name, const SimBackend& b) {
-  std::ostringstream out;
-  b.snapshot(out);
-  const Pin got{crc32(out.str()), b.interactions(),
-                std::bit_cast<std::uint64_t>(b.rounds())};
+void expect_pin(const std::string& name, const Pin& got) {
   char row[160];
   std::snprintf(row, sizeof row, "{\"%s\", {0x%08xu, %lluull, 0x%016llxull}},",
                 name.c_str(), got.crc,
@@ -107,6 +119,13 @@ void expect_pinned(const std::string& name, const SimBackend& b) {
   EXPECT_EQ(got.crc, it->second.crc) << row;
   EXPECT_EQ(got.interactions, it->second.interactions) << row;
   EXPECT_EQ(got.rounds_bits, it->second.rounds_bits) << row;
+}
+
+void expect_pinned(const std::string& name, const SimBackend& b) {
+  std::ostringstream out;
+  b.snapshot(out);
+  expect_pin(name, Pin{crc32(out.str()), b.interactions(),
+                       std::bit_cast<std::uint64_t>(b.rounds())});
 }
 
 struct Case {
@@ -203,6 +222,94 @@ TEST(Characterization, CountEngineBatchUnderFaults) {
     run_rounds_to_consensus(eng, c.minority, /*not_before=*/12.0);
     EXPECT_EQ(eng.crashed_count(), 0u);
     expect_pinned(std::string("count/faults/") + proto, eng);
+  }
+}
+
+// The phase clock grows its species table mid-run (15-18 live species out of
+// a handful at the start), so these pins cover slot appends, extinctions and
+// the compactions between them in every mode.
+TEST(Characterization, CountEnginePhaseClock) {
+  for (const CountEngineMode mode : kModes)
+    for (const std::uint64_t seed : kSeeds) {
+      const auto inst = make_protocol_instance("phase_clock", kN);
+      CountEngine eng(*inst->protocol, inst->initial_counts, seed, mode);
+      for (int r = 0; r < 12; ++r) eng.run_rounds(1.0);
+      expect_pinned(std::string("count/phase_clock/") + mode_name(mode) + "/" +
+                        std::to_string(seed),
+                    eng);
+    }
+}
+
+// A kSkip snapshot taken mid-run, restored into an engine that has already
+// run another seed from the opinions listed in the other order (so its
+// species table is ordered differently and everything it derived from that
+// table is stale), continues exactly like the uninterrupted run.
+TEST(Characterization, CountEngineRestoreMidSkip) {
+  const Case c = make_case("dv12_majority");
+  std::ostringstream mid;
+  {
+    CountEngine eng(*c.inst->protocol, c.inst->initial_counts, /*seed=*/1,
+                    CountEngineMode::kSkip);
+    for (int r = 0; r < 40; ++r) eng.run_rounds(1.0);
+    ASSERT_GT(eng.count_matching(c.minority), 0u);
+    eng.snapshot(mid);
+  }
+  const std::vector<std::pair<State, std::uint64_t>> reversed(
+      c.inst->initial_counts.rbegin(), c.inst->initial_counts.rend());
+  CountEngine eng(*c.inst->protocol, reversed, /*seed=*/2,
+                  CountEngineMode::kSkip);
+  for (int r = 0; r < 60; ++r) eng.run_rounds(1.0);
+  std::istringstream in(mid.str());
+  eng.restore(in);
+  run_rounds_to_consensus(eng, c.minority);
+  expect_pinned("count/run_rounds/dv12_majority/skip/1", eng);
+}
+
+// Past the transition cache's state cap (1024 interned states) the count
+// engine resolves pairs by value and finds species slots by scanning. An
+// 11-bit per-bit voter model started from 1100 distinct states puts the
+// engine there from the start in every mode. Which states got interned
+// first is cache bookkeeping (it moves cache_builds in the snapshot's
+// counter section), not trajectory, so these pins cover interactions,
+// rounds and the CRC32 of the species table instead of the snapshot bytes.
+TEST(Characterization, CountEnginePastCacheCap) {
+  constexpr int kBits = 11;
+  constexpr std::uint64_t kSpecies = 1100;
+  auto vars = make_var_space();
+  std::vector<Rule> rules;
+  std::vector<State> bit(kBits);
+  for (int k = 0; k < kBits; ++k) {
+    const BoolExpr b = BoolExpr::var(vars->intern("B" + std::to_string(k)));
+    bit[k] = var_bit(*vars->find("B" + std::to_string(k)));
+    rules.push_back(make_rule(b, !b, !b, BoolExpr::any()));
+    rules.push_back(make_rule(!b, b, b, BoolExpr::any()));
+  }
+  Protocol proto("bit_voter", vars);
+  proto.add_thread("T", std::move(rules));
+  std::vector<std::pair<State, std::uint64_t>> initial;
+  for (std::uint64_t v = 0; v < kSpecies; ++v) {
+    State s = 0;
+    for (int k = 0; k < kBits; ++k)
+      if (v >> k & 1) s |= bit[k];
+    initial.emplace_back(s, 1);
+  }
+  for (const CountEngineMode mode : kModes) {
+    CountEngine eng(proto, initial, /*seed=*/1, mode);
+    if (mode == CountEngineMode::kSkip) {
+      for (int i = 0; i < 40; ++i) eng.step();
+    } else {
+      eng.run_rounds(2.0);
+    }
+    EXPECT_TRUE(eng.transition_cache().cap_reached());
+    std::string table;
+    BinWriter w(table);
+    for (const auto& [st, c] : eng.species()) {
+      w.u64(st);
+      w.u64(c);
+    }
+    expect_pin(std::string("count/past_cap/") + mode_name(mode),
+               Pin{crc32(table), eng.interactions(),
+                   std::bit_cast<std::uint64_t>(eng.rounds())});
   }
 }
 
