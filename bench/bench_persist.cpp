@@ -123,7 +123,7 @@ int run(bool smoke) {
                   proto,
                   std::vector<std::pair<State, std::uint64_t>>{{a, n / 2},
                                                                {b, n - n / 2}},
-                  /*seed=*/7, CountEngineMode::kBatch);
+                  /*seed=*/7);
             },
             records))
       return 1;

@@ -187,7 +187,7 @@ int run() {
           proto,
           std::vector<std::pair<State, std::uint64_t>>{{a, 1 << 13},
                                                        {b, 1 << 13}},
-          /*seed=*/7, CountEngineMode::kBatch);
+          /*seed=*/7);
     });
   }
   return rc;

@@ -150,20 +150,20 @@ int main(int argc, char** argv) {
             "accuracy vs gap at n=4096 (AM3 needs gap Ω(sqrt(n log n)))",
             ctx.csv);
 
-  // --- Engine-mode series: direct vs skip vs batch on the DV12 workload. ---
-  // The Θ(n log n)-interaction exact-majority baseline is the workload the
-  // batched sampler (DESIGN.md §9) exists for; record all three engine modes
-  // into the BENCH_engine.json trajectory so the speedup is tracked per
-  // commit alongside the kernel microbenches.
+  // --- Engine-mode series: direct vs the sampler policy on DV12. ---
+  // The Θ(n log n)-interaction exact-majority baseline is the workload
+  // skip-ahead exists for; record both engine modes into the
+  // BENCH_engine.json trajectory so the speedup is tracked per commit
+  // alongside the kernel microbenches. At this n the policy (DESIGN.md §9)
+  // never batches.
   // n is modest because the direct-mode run pays the full Θ(n^2 log n)
-  // scheduler-interaction cost the other two modes exist to avoid.
+  // scheduler-interaction cost the policy exists to avoid.
   std::vector<BenchRecord> recs;
   const std::uint64_t n_eng = 1 << 11;
   double direct_eff = 0.0;
   const std::pair<const char*, CountEngineMode> eng_modes[] = {
       {"t11_dv12_direct", CountEngineMode::kDirect},
-      {"t11_dv12_skip", CountEngineMode::kSkip},
-      {"t11_dv12_batch", CountEngineMode::kBatch}};
+      {"t11_dv12_adaptive", CountEngineMode::kAdaptive}};
   for (const auto& [rec_name, mode] : eng_modes) {
     auto vars = make_var_space();
     const Protocol p = make_dv12_majority_protocol(vars);

@@ -83,16 +83,15 @@ int main(int argc, char** argv) {
 
   // --- Engine-mode series: direct vs skip vs batch on fratricide. ---
   // The Θ(n) baseline is effective-interaction sparse late in the run (only
-  // leader-leader meetings change state), so this series exercises the
-  // batch→skip hysteresis handoff (DESIGN.md §9) and records all three modes
-  // into the BENCH_engine.json trajectory.
+  // leader-leader meetings change state), the regime skip-ahead is for; the
+  // series records direct stepping and the sampler policy (DESIGN.md §9),
+  // which at this n never batches, into the BENCH_engine.json trajectory.
   std::vector<BenchRecord> recs;
   const std::uint64_t n_eng = 1 << 12;
   double direct_eff = 0.0;
   const std::pair<const char*, CountEngineMode> eng_modes[] = {
       {"t12_fratricide_direct", CountEngineMode::kDirect},
-      {"t12_fratricide_skip", CountEngineMode::kSkip},
-      {"t12_fratricide_batch", CountEngineMode::kBatch}};
+      {"t12_fratricide_adaptive", CountEngineMode::kAdaptive}};
   for (const auto& [rec_name, mode] : eng_modes) {
     auto vars = make_var_space();
     const Protocol p = make_fratricide_protocol(vars);

@@ -60,8 +60,8 @@ void BM_CountEngineSkipAhead(benchmark::State& state) {
                                !BoolExpr::var(x), BoolExpr::any())});
   for (auto _ : state) {
     state.PauseTiming();
-    CountEngine eng(p, {{var_bit(x), 32}, {0, (1 << 20) - 32}}, 1,
-                    CountEngineMode::kSkip);
+    // The default policy: at this change weight, skip-ahead only.
+    CountEngine eng(p, {{var_bit(x), 32}, {0, (1 << 20) - 32}}, 1);
     state.ResumeTiming();
     // Run until only one X remains (31 effective interactions).
     while (eng.count_state(var_bit(x)) > 1) eng.step();

@@ -11,9 +11,12 @@
 namespace popproto {
 
 namespace {
-constexpr std::uint64_t kAutoWindow = 512;
-constexpr double kSwitchToSkipBelow = 0.08;
-constexpr double kSwitchToDirectAbove = 0.25;
+// The sampler policy takes skip-ahead while the total change weight W is
+// below kSkipBelow / sqrt(n), and batches otherwise. A batch advances
+// ~0.63 sqrt(n) interactions per O(species^2) set of draws and a skip-ahead
+// jump 1/W interactions per O(species^2) event rebuild, so the break-even W
+// falls as 1/sqrt(n); the constant comes from the sweep in EXPERIMENTS.md.
+constexpr double kSkipBelow = 32.0;
 // Change-weight table entry not yet filled (real weights are >= 0).
 constexpr double kUnfilled = -1.0;
 constexpr std::uint32_t kNoState = TransitionCache::kNoState;
@@ -29,6 +32,11 @@ std::uint64_t auto_batch_cap(std::uint64_t n) {
   const auto r =
       static_cast<std::uint64_t>(2.0 * std::sqrt(static_cast<double>(n)));
   return std::clamp<std::uint64_t>(r, 8, std::uint64_t{1} << 16);
+}
+
+// W < kSkipBelow / sqrt(n), without the square root (W >= 0).
+bool below_skip_threshold(double w, std::uint64_t n) {
+  return w * w * static_cast<double>(n) < kSkipBelow * kSkipBelow;
 }
 
 // Index i drawn with probability count_at(i) / total, where `total` is the
@@ -58,7 +66,6 @@ CountEngine::CountEngine(const Protocol& protocol,
   POPPROTO_CHECK(protocol.num_rules() > 0);
   for (const auto& [s, c] : initial) add_count(s, c);
   POPPROTO_CHECK_MSG(n_ >= 2, "population needs at least 2 agents");
-  use_skip_ = (mode == CountEngineMode::kSkip);
 }
 
 void CountEngine::set_injection_hook(InjectionHook hook) {
@@ -69,8 +76,6 @@ void CountEngine::set_injection_hook(InjectionHook hook) {
 void CountEngine::set_scheduler_bias(std::optional<SchedulerBias> bias) {
   bias_ = std::move(bias);
 }
-
-bool CountEngine::skip_allowed() const { return !bias_.has_value(); }
 
 void CountEngine::maybe_fire_injection() {
   if (!injection_.on_round) return;
@@ -306,7 +311,6 @@ void CountEngine::direct_step() {
   }
   const std::size_t ib = sample_species(/*exclude_one_of=*/ia);
   ++interactions_;
-  ++window_steps_;
   time_ += 1.0 / static_cast<double>(n_);
 
   if (injection_.drop_interaction && injection_.drop_interaction(rng_)) {
@@ -316,9 +320,8 @@ void CountEngine::direct_step() {
 
   // One fused draw covers thread choice (incl. empty-thread padding mass),
   // rule choice, and the outcome coin; see core/transition_cache.hpp.
-  if (!resolve_pair(ia, ib, rng_.uniform(), /*change_only=*/false)) return;
-  ++effective_;
-  ++window_effective_;
+  if (resolve_pair(ia, ib, rng_.uniform(), /*change_only=*/false))
+    ++effective_;
 }
 
 void CountEngine::rebuild_events() {
@@ -364,18 +367,17 @@ void CountEngine::idle(double limit) {
   time_ = limit;
 }
 
-bool CountEngine::skip_step(double limit) {
-  rebuild_events();
-  if (events_total_weight_ <= 0.0) return false;
+void CountEngine::skip_step(double limit) {
   const std::uint64_t skip =
       rng_.geometric(std::min(events_total_weight_, 1.0));
   const double landing =
-      time_ + static_cast<double>(skip + 1) / static_cast<double>(n_);
-  if (landing > limit) {
+      time_ + (static_cast<double>(skip) + 1.0) / static_cast<double>(n_);
+  if (skip == std::numeric_limits<std::uint64_t>::max() || landing > limit) {
     // The geometric law is memoryless, so stopping at `limit` and drawing
-    // afresh from there is exact.
+    // afresh from there is exact. A saturated draw (2^64 - 1 or more no-ops)
+    // lands past any limit.
     idle(limit);
-    return true;
+    return;
   }
   interactions_ += skip + 1;
   ++ctr_.skip_jumps;
@@ -399,20 +401,6 @@ bool CountEngine::skip_step(double limit) {
   } else {
     apply_change(chosen->species_a, chosen->species_b);
   }
-  // kAuto/kBatch hand back to their dense sampler once the change weight
-  // this jump was drawn from has recovered.
-  if ((mode_ == CountEngineMode::kAuto || mode_ == CountEngineMode::kBatch) &&
-      events_total_weight_ > kSwitchToDirectAbove)
-    use_skip_ = false;
-  return true;
-}
-
-// Batch aggregation assumes every interaction is an unbiased uniform pair
-// draw (SchedulerBias breaks that) and resolves same-pair interactions in
-// aggregate (a per-interaction dropout predicate cannot be consulted one
-// draw at a time). Either hook routes kBatch back through the scalar paths.
-bool CountEngine::batch_allowed() const {
-  return !bias_.has_value() && !injection_.drop_interaction;
 }
 
 std::size_t CountEngine::batch_species_slot(State s) {
@@ -538,11 +526,11 @@ void CountEngine::batch_step(double limit) {
   if (room < static_cast<double>(cap))
     budget = room >= 1.0 ? static_cast<std::uint64_t>(room) : 1;
 
-  compact();  // dense nonzero counts for the hypergeometric scans
+  // rebuild_events just compacted: dense nonzero counts for the
+  // hypergeometric scans.
   bat_touched_.assign(states_.size(), 0);
   std::uint64_t m_total = n_;  // untouched agents (still in counts_)
   std::uint64_t u_total = 0;   // touched agents (in bat_touched_)
-  const std::uint64_t eff0 = effective_;
   std::uint64_t done = 0;
   // One batch = collision-free runs up to the first collision interaction
   // (or the budget). Ending the batch at the first collision is the
@@ -600,82 +588,37 @@ void CountEngine::batch_step(double limit) {
   for (std::size_t i = 0; i < bat_touched_.size(); ++i)
     counts_[i] += bat_touched_[i];
   interactions_ += done;
-  window_steps_ += done;
-  window_effective_ += effective_ - eff0;
   time_ += static_cast<double>(done) / static_cast<double>(n_);
-  if (effective_ == eff0) {
-    // A whole batch of no-ops: check for silence so driver loops terminate.
-    rebuild_events();
-    if (events_total_weight_ <= 0.0) silent_ = true;
-  }
-}
-
-void CountEngine::maybe_toggle_batch_skip() {
-  // Same hysteresis thresholds as kAuto, with the batch sampler playing
-  // direct mode's role: a batch whose effective fraction collapses hands
-  // off to skip-ahead (one event draw per *effective* interaction beats
-  // sqrt(n)-sized batches of no-ops), and skip hands back once the total
-  // change weight recovers.
-  if (!use_skip_) {
-    if (window_steps_ >= kAutoWindow &&
-        static_cast<double>(window_effective_) /
-                static_cast<double>(window_steps_) <
-            kSwitchToSkipBelow) {
-      use_skip_ = true;
-      window_steps_ = window_effective_ = 0;
-    }
-  } else if (events_total_weight_ > kSwitchToDirectAbove) {
-    use_skip_ = false;
-    window_steps_ = window_effective_ = 0;
-  }
-}
-
-void CountEngine::maybe_toggle_auto_skip() {
-  // kAuto's tumbling window: every kAutoWindow direct steps decide afresh
-  // whether the effective fraction is low enough for skip-ahead.
-  if (!use_skip_ && window_steps_ >= kAutoWindow) {
-    if (static_cast<double>(window_effective_) /
-            static_cast<double>(window_steps_) <
-        kSwitchToSkipBelow)
-      use_skip_ = true;
-    window_steps_ = window_effective_ = 0;
-  } else if (use_skip_ && events_total_weight_ > kSwitchToDirectAbove) {
-    use_skip_ = false;
-    window_steps_ = window_effective_ = 0;
-  }
 }
 
 CountEngine::Sampler CountEngine::choose_sampler() {
-  if (mode_ == CountEngineMode::kBatch && batch_allowed()) {
-    maybe_toggle_batch_skip();
-    return use_skip_ ? Sampler::kSkip : Sampler::kBatch;
-  }
-  // A running skip-ahead stretch hands back from inside skip_step, right
-  // after each jump; the window policy runs only between direct steps.
-  if ((use_skip_ || mode_ == CountEngineMode::kSkip) && skip_allowed())
-    return Sampler::kSkip;
-  if (mode_ == CountEngineMode::kAuto) maybe_toggle_auto_skip();
-  return use_skip_ && skip_allowed() ? Sampler::kSkip : Sampler::kDirect;
+  use_skip_ = false;
+  if (mode_ == CountEngineMode::kDirect || bias_) return Sampler::kDirect;
+  rebuild_events();
+  if (events_total_weight_ <= 0.0) return Sampler::kIdle;
+  // Batch aggregation resolves same-pair interactions in aggregate, so a
+  // per-interaction dropout predicate (consulted once per effective
+  // interaction by skip-ahead) rules it out.
+  use_skip_ = injection_.drop_interaction ||
+              below_skip_threshold(events_total_weight_, n_);
+  return use_skip_ ? Sampler::kSkip : Sampler::kBatch;
 }
 
 bool CountEngine::activate(double limit) {
-  if (silent_) {
-    idle(limit);
-  } else {
-    switch (choose_sampler()) {
-      case Sampler::kDirect:
-        direct_step();
-        break;
-      case Sampler::kBatch:
-        batch_step(limit);
-        break;
-      case Sampler::kSkip:
-        if (!skip_step(limit)) {
-          silent_ = true;
-          idle(limit);
-        }
-        break;
-    }
+  switch (silent_ ? Sampler::kIdle : choose_sampler()) {
+    case Sampler::kDirect:
+      direct_step();
+      break;
+    case Sampler::kBatch:
+      batch_step(limit);
+      break;
+    case Sampler::kSkip:
+      skip_step(limit);
+      break;
+    case Sampler::kIdle:
+      silent_ = true;
+      idle(limit);
+      break;
   }
   maybe_fire_injection();
   return !silent_;
@@ -720,8 +663,16 @@ void CountEngine::snapshot(std::ostream& out) const {
   c.f64(time_);
   c.u64(interactions_);
   c.u64(effective_);
-  c.u64(window_steps_);
-  c.u64(window_effective_);
+  // Format v1's hysteresis window (steps, effective since the last mode
+  // switch). No engine keeps a window any more and restore ignores both
+  // fields, so the values are cosmetic. The policy writes 0. A direct engine
+  // writes its interaction and effective totals, as the retired window code
+  // did for an engine that never switched (that code also zeroed the window
+  // on reset_population); this keeps the bytes of the recorded kDirect
+  // snapshot pins.
+  const bool direct = mode_ == CountEngineMode::kDirect;
+  c.u64(direct ? interactions_ : 0);
+  c.u64(direct ? effective_ : 0);
   c.f64(events_total_weight_);
   w.section(SnapshotSection::kCore, core);
 
@@ -763,8 +714,6 @@ void CountEngine::restore(std::istream& in) {
     double time = 0.0;
     std::uint64_t interactions = 0;
     std::uint64_t effective = 0;
-    std::uint64_t window_steps = 0;
-    std::uint64_t window_effective = 0;
     double events_total_weight = 0.0;
     std::uint64_t n = 0;
     std::vector<State> states;
@@ -792,8 +741,9 @@ void CountEngine::restore(std::istream& in) {
         st.time = r.f64();
         st.interactions = r.u64();
         st.effective = r.u64();
-        st.window_steps = r.u64();
-        st.window_effective = r.u64();
+        // Format v1 hysteresis window: ignored, the policy keeps no window.
+        r.u64();
+        r.u64();
         st.events_total_weight = r.f64();
         have_core = true;
         break;
@@ -836,7 +786,9 @@ void CountEngine::restore(std::istream& in) {
                         "snapshot missing a required section");
 
   // Semantic validation — *this stays untouched until everything passed.
-  if (st.mode > static_cast<std::uint8_t>(CountEngineMode::kBatch))
+  // Mode bytes 1 and 2 (the retired skip and auto modes) restore into the
+  // production policy.
+  if (st.mode > static_cast<std::uint8_t>(CountEngineMode::kAdaptive))
     throw SnapshotError(SnapshotErrc::kCorrupt, "unknown count engine mode");
   if (st.batch_size != 0)
     throw SnapshotError(SnapshotErrc::kConfigMismatch,
@@ -883,14 +835,14 @@ void CountEngine::restore(std::istream& in) {
   crashed_ = std::move(st.crashed);
   crashed_n_ = st.crashed_n;
   rng_.set_state(st.rng);
-  mode_ = static_cast<CountEngineMode>(st.mode);
+  mode_ = st.mode == static_cast<std::uint8_t>(CountEngineMode::kDirect)
+              ? CountEngineMode::kDirect
+              : CountEngineMode::kAdaptive;
   use_skip_ = st.use_skip;
   silent_ = st.silent;
   time_ = st.time;
   interactions_ = st.interactions;
   effective_ = st.effective;
-  window_steps_ = st.window_steps;
-  window_effective_ = st.window_effective;
   events_total_weight_ = st.events_total_weight;
   ctr_ = st.ctr;
   cache_builds_base_ = st.ctr.cache_builds;
@@ -918,7 +870,6 @@ void CountEngine::reset_population(
   silent_ = false;
   events_.clear();
   events_total_weight_ = 0.0;
-  window_steps_ = window_effective_ = 0;
 }
 
 std::uint64_t CountEngine::count_state(State s) const {

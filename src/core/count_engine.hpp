@@ -1,15 +1,17 @@
-// Species-abundance simulation engine (DESIGN.md S5).
+// Species-abundance simulation engine (DESIGN.md S5, S9).
 //
 // For a protocol whose reachable state set is small, the population is fully
 // described by the count of agents in each state. This engine simulates the
-// sequential scheduler exactly on those counts and, when the probability
-// that a uniformly sampled interaction changes any state drops low, switches
-// to *skip-ahead* mode: it samples the number of no-op interactions from the
-// exact geometric law and then draws one state-changing interaction from the
-// conditional distribution. The resulting process is equal in distribution
-// to the direct simulation, but late-stage sparse dynamics (|X|+|X|
-// elimination, DV12 exact majority, ...) run in time proportional to the
-// number of *effective* interactions instead of all interactions.
+// sequential scheduler exactly on those counts. Its default mode advances
+// with one of two samplers, chosen before every activation from the exact
+// probability W that a uniformly sampled interaction changes any state:
+// *batched collision sampling* (a collision-free block of ~0.63·√n
+// interactions drawn as aggregate species-pair counts) while W is high, and
+// *skip-ahead* (the number of no-op interactions drawn from the exact
+// geometric law, then one state-changing interaction from the conditional
+// distribution) once W drops below a threshold that falls as 1/√n. Both are
+// equal in distribution to the direct simulation, which stays available as
+// the exact reference mode.
 //
 // Fault support (src/faults/): the engine carries the same InjectionHook /
 // SchedulerBias surface as the agent-based Engine, plus count-level churn
@@ -34,7 +36,11 @@
 
 namespace popproto {
 
-enum class CountEngineMode { kDirect, kSkip, kAuto, kBatch };
+/// kDirect steps one scheduler interaction at a time (the exact reference);
+/// kAdaptive is the production policy (batch or skip-ahead by W and n). The
+/// values are the mode byte of snapshot format v1, where 1 and 2 named
+/// retired modes that now restore as kAdaptive.
+enum class CountEngineMode : std::uint8_t { kDirect = 0, kAdaptive = 3 };
 
 /// Implements SimBackend (core/sim_backend.hpp) as the "count" substrate.
 /// The backend-generic run_until (predicate over SimBackend) is reachable
@@ -46,12 +52,12 @@ class CountEngine final : public SimBackend {
   CountEngine(const Protocol& protocol,
               std::vector<std::pair<State, std::uint64_t>> initial,
               std::uint64_t seed,
-              CountEngineMode mode = CountEngineMode::kAuto);
+              CountEngineMode mode = CountEngineMode::kAdaptive);
 
   /// One activation: a scheduler interaction (direct), one *effective*
-  /// interaction plus its geometric prefix of no-ops (skip mode), or one
-  /// collision-sampled batch (kBatch), never past the next round of an
-  /// installed fault schedule. Returns false iff the configuration is
+  /// interaction plus its geometric prefix of no-ops (skip-ahead), or one
+  /// collision-sampled batch, never past the next round of an installed
+  /// fault schedule. Returns false iff the configuration is
   /// silent (no rule can change anything); a silent engine idles one round
   /// (or up to that fault round) per call, so time keeps advancing.
   bool step() override;
@@ -73,16 +79,14 @@ class CountEngine final : public SimBackend {
 
   const TransitionCache& transition_cache() const { return cache_; }
 
-  /// True while the engine is currently taking skip-ahead steps (kSkip, an
-  /// engaged kAuto, or a kBatch engine hysteresis-parked in skip).
-  bool skip_engaged() const {
-    return mode_ == CountEngineMode::kSkip || use_skip_;
-  }
+  /// True iff the last activation the policy chose was a skip-ahead jump.
+  bool skip_engaged() const { return use_skip_; }
 
   /// Fault-layer injection points (see core/injection.hpp). Unset hooks
   /// leave the RNG stream and trajectory bit-for-bit unchanged. While a
-  /// SchedulerBias is active the engine runs in direct mode (the skip-ahead
-  /// law assumes uniform pair sampling).
+  /// SchedulerBias is active the engine steps directly (batching and the
+  /// skip-ahead law assume uniform pair sampling); a dropout predicate
+  /// rules out batching only.
   void set_injection_hook(InjectionHook hook) override;
   void set_scheduler_bias(std::optional<SchedulerBias> bias) override;
 
@@ -111,7 +115,8 @@ class CountEngine final : public SimBackend {
   /// cross-shard migration primitive of CountShardEngine: a re-deal swaps
   /// populations between sub-engines without perturbing any stream or
   /// clock. Clears the silent latch and all derived state (event list,
-  /// species index, hysteresis window).
+  /// species index). The next activation chooses its sampler exactly as a
+  /// fresh engine with these counts would.
   void reset_population(
       const std::vector<std::pair<State, std::uint64_t>>& counts);
 
@@ -146,9 +151,9 @@ class CountEngine final : public SimBackend {
   /// Full-fidelity snapshot: the species table in its exact internal order
   /// (sample_species scans counts_ in order, so ordering is part of the
   /// trajectory), crashed multiset, RNG stream, mode/skip state, the
-  /// time base, and counters — including events_total_weight_, which the
-  /// batch/skip hysteresis reads *before* any rebuild. The event list and
-  /// species index are derived and rebuilt, not serialized.
+  /// time base, and counters. The event list, its total weight and the
+  /// species index are derived and rebuilt before use; format v1's weight
+  /// and window fields are carried for layout only.
   void snapshot(std::ostream& out) const override;
   /// All-or-nothing restore (see SimBackend::restore). Adopts the saved
   /// mode and population; hooks/traces/bias must be re-attached
@@ -178,35 +183,33 @@ class CountEngine final : public SimBackend {
     std::size_t species_b;
   };
 
-  // The sampler one activation uses, after the mode's hysteresis ran.
-  enum class Sampler { kDirect, kSkip, kBatch };
+  // The sampler one activation uses.
+  enum class Sampler { kDirect, kSkip, kBatch, kIdle };
   static constexpr std::size_t kNoSpecies = ~std::size_t{0};
 
   /// The single advance routine behind step() and run_rounds(): one
   /// activation of the mode's current sampler, never past `limit`, then
   /// due fault-schedule rounds fire.
   bool activate(double limit);
-  /// Apply kAuto's or kBatch's hysteresis and pick this activation's sampler.
+  /// The sampler policy: direct under a SchedulerBias (and in kDirect);
+  /// otherwise rebuild the event list and take skip-ahead when W is below
+  /// the skip threshold (32 / sqrt(n)) or a dropout hook forbids batching,
+  /// a batch when not, and idle once W is 0 (silent).
   Sampler choose_sampler();
-  /// kAuto hysteresis over a tumbling window of direct steps.
-  void maybe_toggle_auto_skip();
   /// Remove zero-count slots in place (order kept). A no-op unless some
   /// species went extinct; a removal drops the change-weight table.
   void compact();
   void direct_step();
-  /// One geometric skip-ahead jump plus the effective interaction it lands
-  /// on; a jump that would land past `limit` stops there instead. Returns
-  /// false (without advancing) iff no rule can change anything.
-  bool skip_step(double limit);
+  /// One geometric skip-ahead jump over the event list rebuild_events left,
+  /// plus the effective interaction it lands on; a jump that would land past
+  /// `limit` (or a draw past the 64-bit range) stops there instead.
+  void skip_step(double limit);
   /// Advance to `limit` (one round if unbounded) as a run of no-ops.
   void idle(double limit);
   /// One batch of up to `limit`-capped interactions via collision sampling
   /// (DESIGN.md §9): a collision-free block of ~√n interactions drawn as
   /// aggregate species-pair counts plus its boundary collision interaction.
-  /// Sets the silent latch when a whole batch changed nothing and no rule
-  /// can fire.
   void batch_step(double limit);
-  bool batch_allowed() const;
   /// slot_for(s), keeping the batch scratch vectors sized in lockstep.
   std::size_t batch_species_slot(State s);
   /// Apply `k` aggregated interactions of the ordered species pair (ia, ib)
@@ -218,9 +221,7 @@ class CountEngine final : public SimBackend {
   /// caller's untouched/touched totals in place.
   void batch_collision_interaction(std::uint64_t* m_total,
                                    std::uint64_t* u_total);
-  /// Batch/skip hysteresis for kBatch (same thresholds as kAuto, with the
-  /// batch sampler in direct mode's role, over a cumulative window).
-  void maybe_toggle_batch_skip();
+  /// Rebuild the event list and its total weight W from the current counts.
   void rebuild_events();
   /// Apply one state-changing interaction to the ordered species pair,
   /// drawing from the conditional-on-change fused distribution.
@@ -249,7 +250,6 @@ class CountEngine final : public SimBackend {
   /// A uniformly chosen scheduled agent's species, optionally with one agent
   /// of species `exclude_one_of` left out (the initiator of a pair).
   std::size_t sample_species(std::size_t exclude_one_of = kNoSpecies);
-  bool skip_allowed() const;
   void maybe_fire_injection();
 
   const Protocol& protocol_;
@@ -293,11 +293,6 @@ class CountEngine final : public SimBackend {
   std::optional<SchedulerBias> bias_;
   std::vector<std::pair<State, std::uint64_t>> crashed_;
   std::uint64_t crashed_n_ = 0;
-  // Hysteresis statistics over direct (kAuto) or batched (kBatch) steps:
-  // kAuto tumbles the window every kAutoWindow steps, kBatch lets it grow
-  // until the next switch.
-  std::uint64_t window_steps_ = 0;
-  std::uint64_t window_effective_ = 0;
   std::vector<Event> events_;
   double events_total_weight_ = 0.0;
   // Batch-mode scratch (sized to states_.size() inside batch_step; kept as

@@ -116,10 +116,10 @@ CountShardEngine::CountShardEngine(
   shards_.reserve(S);
   if (S == 1) {
     // Untouched pass-through of the caller's counts: the single-shard
-    // trajectory must equal CountEngine kBatch under shard_seed(seed, 0)
+    // trajectory must equal a default CountEngine under shard_seed(seed, 0)
     // exactly, including the species-table order.
     shards_.push_back(std::make_unique<CountEngine>(
-        protocol_, std::move(initial), seeds[0], CountEngineMode::kBatch));
+        protocol_, std::move(initial), seeds[0]));
   } else {
     // Initial deal = the same hypergeometric partition migration uses,
     // drawn on the migration stream before round 0. Merge duplicate
@@ -149,7 +149,7 @@ CountShardEngine::CountShardEngine(
         remaining -= take;
       }
       shards_.push_back(std::make_unique<CountEngine>(
-          protocol_, mig_init_, seeds[s], CountEngineMode::kBatch));
+          protocol_, mig_init_, seeds[s]));
     }
   }
   next_migrate_time_ = static_cast<double>(params_.migrate_every);
@@ -313,7 +313,7 @@ void CountShardEngine::run_rounds(double rounds_to_run) {
     // batch_step caps each batch at the run target, so segmenting a run
     // changes which batches truncate and therefore the RNG consumption.
     // Handing the whole run down in one call keeps the single-shard
-    // trajectory bit-identical to a bare CountEngine kBatch — the shards=1
+    // trajectory bit-identical to a bare default CountEngine — the shards=1
     // equivalence contract (tests/count_shard_engine_test.cpp).
     CountEngine& sub = *shards_[0];
     const double target = time_ + rounds_to_run;
@@ -566,7 +566,7 @@ void CountShardEngine::restore(std::istream& in) {
           auto sub = std::make_unique<CountEngine>(
               protocol_,
               std::vector<std::pair<State, std::uint64_t>>{{State{0}, 2}},
-              /*seed=*/1, CountEngineMode::kBatch);
+              /*seed=*/1);
           std::istringstream blob(r.str());
           sub->restore(blob);
           st.subs.push_back(std::move(sub));

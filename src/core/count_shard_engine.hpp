@@ -3,10 +3,10 @@
 // The fourth SimBackend substrate composes the two scaling mechanisms the
 // library already has: BatchEngine's shard decomposition (independent
 // subpopulations between periodic global reshuffles) and CountEngine's
-// kBatch collision sampling (whole collision-free blocks of ~sqrt(n)
+// batch/skip sampler policy (whole collision-free blocks of ~sqrt(n)
 // interactions advanced with O(species^2) exact distributional draws,
 // DESIGN.md §9). Each shard is a species-count subpopulation driven by its
-// own CountEngine in kBatch mode on a private split RNG stream; every
+// own default-mode CountEngine on a private split RNG stream; every
 // `migrate_every` global rounds the scheduled agents are re-dealt across
 // shards by exact multivariate-hypergeometric draws on a dedicated
 // migration stream.
@@ -35,9 +35,9 @@
 // Fault surface: the standard InjectionHook / SchedulerBias points plus
 // CountEngine-style churn and corruption, distributed across shards by
 // hypergeometric victim allocation so global victim selection stays
-// uniform. A SchedulerBias or dropout hook routes every shard back through
-// CountEngine's exact per-interaction path (batch aggregation assumes
-// unbiased uniform pair draws).
+// uniform. A SchedulerBias routes every shard back through CountEngine's
+// exact per-interaction path and a dropout hook through skip-ahead (batch
+// aggregation assumes unbiased uniform pair draws, each one kept).
 #pragma once
 
 #include <cstdint>
@@ -79,8 +79,8 @@ class CountShardEngine final : public SimBackend {
   };
 
   /// Initial configuration as species counts, like CountEngine. With one
-  /// shard the counts pass through untouched, so the trajectory equals
-  /// CountEngine kBatch seeded with this engine's shard-0 stream
+  /// shard the counts pass through untouched, so the trajectory equals a
+  /// default-mode CountEngine seeded with this engine's shard-0 stream
   /// (shard_seed(seed, 0)); with more shards the initial deal is the same
   /// hypergeometric partition migration uses, drawn on the migration
   /// stream.

@@ -1,6 +1,6 @@
 // Exact discrete samplers for batched collision sampling (DESIGN.md §9).
 //
-// The batch mode of CountEngine replaces per-interaction RNG draws with a
+// The batch sampler of CountEngine replaces per-interaction RNG draws with a
 // handful of distributional draws per ~√n interactions: a multivariate
 // hypergeometric for the block's participant species, nested hypergeometrics
 // for the initiator/responder pair matrix, and binomial/multinomial draws

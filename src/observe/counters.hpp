@@ -36,7 +36,7 @@ struct EngineCounters {
   /// Interactions resolved by value because an interned index was missing
   /// (state cap reached, or a result state that could not be interned).
   std::uint64_t cache_fallbacks = 0;
-  /// Skip-ahead jumps taken (CountEngine skip mode).
+  /// Skip-ahead jumps taken (CountEngine's skip-ahead sampler).
   std::uint64_t skip_jumps = 0;
   /// No-op interactions skipped over by those jumps (sum of jump lengths).
   std::uint64_t skipped_interactions = 0;
@@ -45,10 +45,11 @@ struct EngineCounters {
   std::uint64_t rejoin_events = 0;
   /// Agents rewritten by targeted corruption (CountEngine fault surface).
   std::uint64_t corrupted_agents = 0;
-  /// Collision-free blocks sampled in batch mode (CountEngine kBatch); each
+  /// Collision-free blocks sampled by CountEngine's batch sampler; each
   /// block aggregates ~sqrt(n) interactions into O(species^2) draws.
   std::uint64_t batch_blocks = 0;
-  /// Run-ending collision interactions resolved individually in batch mode.
+  /// Run-ending collision interactions resolved individually by the batch
+  /// sampler.
   std::uint64_t batch_collisions = 0;
 
   // -- Detailed tier (0 unless built with POPPROTO_PROFILE) ----------------

@@ -191,6 +191,7 @@ ReplayCheckResult replay_check(const BackendFactory& make_backend,
   const std::string snapshot = snap.str();
   result.snapshot_rounds = ref->rounds();
   result.snapshot_bytes = snapshot.size();
+  result.snapshot_counters = ref->counters();
   EventTrace ref_trace;
   ref->set_event_trace(&ref_trace);
   ref->run_rounds(k_rounds);
@@ -205,6 +206,7 @@ ReplayCheckResult replay_check(const BackendFactory& make_backend,
   res->run_rounds(k_rounds);
   const FinalObservation res_obs = observe(*res, res_trace, nullptr);
 
+  result.final_counters = ref_obs.counters;
   compare(ref_obs, res_obs, &result);
   return result;
 }
@@ -226,6 +228,7 @@ ReplayCheckResult replay_check_with_faults(const BackendFactory& make_backend,
   const std::string fault_snapshot = fsnap.str();
   result.snapshot_rounds = ref->rounds();
   result.snapshot_bytes = engine_snapshot.size() + fault_snapshot.size();
+  result.snapshot_counters = ref->counters();
   EventTrace ref_trace;
   ref->set_event_trace(&ref_trace);
   ref->run_rounds(k_rounds);
@@ -244,6 +247,7 @@ ReplayCheckResult replay_check_with_faults(const BackendFactory& make_backend,
   res->run_rounds(k_rounds);
   const FinalObservation res_obs = observe(*res, res_trace, &res_injector);
 
+  result.final_counters = ref_obs.counters;
   compare(ref_obs, res_obs, &result);
   return result;
 }

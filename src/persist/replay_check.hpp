@@ -34,6 +34,7 @@
 #include <string>
 
 #include "faults/fault_plan.hpp"
+#include "observe/counters.hpp"
 
 namespace popproto {
 
@@ -48,6 +49,10 @@ struct ReplayCheckResult {
   double snapshot_rounds = 0.0;
   /// Size of the mid-run snapshot in bytes.
   std::uint64_t snapshot_bytes = 0;
+  /// The reference run's counters at the snapshot and at the end; their
+  /// difference shows which samplers the replayed stretch exercised.
+  EngineCounters snapshot_counters;
+  EngineCounters final_counters;
 };
 
 /// Factory producing identically configured backends (same protocol object,

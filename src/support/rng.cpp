@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <limits>
 
 #include "support/simd.hpp"
 
@@ -38,9 +39,11 @@ std::uint64_t Rng::geometric(double p) {
   if (p >= 1.0) return 0;
   // Inversion: floor(ln(U) / ln(1-p)), with U in (0, 1].
   double u = 1.0 - uniform();  // (0, 1]
-  double g = std::floor(std::log(u) / std::log1p(-p));
-  if (g < 0) g = 0;
-  return static_cast<std::uint64_t>(g);
+  const double g = std::floor(std::log(u) / std::log1p(-p));
+  // 2^64 is exact as a double; casting anything at or past it is undefined.
+  if (!(g < 18446744073709551616.0))
+    return std::numeric_limits<std::uint64_t>::max();
+  return g > 0 ? static_cast<std::uint64_t>(g) : 0;
 }
 
 Rng Rng::split() {

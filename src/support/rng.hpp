@@ -80,7 +80,8 @@ class Rng {
   bool coin() { return ((*this)() >> 63) != 0; }
 
   /// Geometric: number of failures before the first success, success
-  /// probability p in (0, 1]. Returns 0 immediately when p == 1.
+  /// probability p in (0, 1]. Returns 0 immediately when p == 1, and
+  /// saturates at UINT64_MAX when the draw is past the 64-bit range (tiny p).
   std::uint64_t geometric(double p);
 
   /// Ordered pair of distinct indices in [0, n); n must be >= 2.

@@ -44,7 +44,10 @@ void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
 namespace popproto {
 namespace {
 
-constexpr std::uint64_t kN = std::uint64_t{1} << 16;
+// The sampler policy skips at n = 2^16 and batches approx_majority's dense
+// phase at n = 2^20: one test on each side of the switch.
+constexpr std::uint64_t kSkipN = std::uint64_t{1} << 16;
+constexpr std::uint64_t kBatchN = std::uint64_t{1} << 20;
 
 TEST(Alloc, CountingOperatorNewIsActive) {
   const std::uint64_t before = g_allocations.load();
@@ -54,9 +57,8 @@ TEST(Alloc, CountingOperatorNewIsActive) {
 }
 
 TEST(Alloc, SkipJumpsAllocateNothing) {
-  const auto inst = make_protocol_instance("dv12_majority", kN);
-  CountEngine eng(*inst->protocol, inst->initial_counts, /*seed=*/1,
-                  CountEngineMode::kSkip);
+  const auto inst = make_protocol_instance("dv12_majority", kSkipN);
+  CountEngine eng(*inst->protocol, inst->initial_counts, /*seed=*/1);
   eng.run_rounds(1.0);  // warm-up
   const std::uint64_t jumps0 = eng.counters().skip_jumps;
   const std::uint64_t effective0 = eng.effective_interactions();
@@ -69,15 +71,15 @@ TEST(Alloc, SkipJumpsAllocateNothing) {
   EXPECT_GE(eng.counters().skip_jumps - jumps0, 10000u);
   EXPECT_GE(eng.effective_interactions() - effective0, 10000u);
   EXPECT_FALSE(eng.silent());
+  EXPECT_EQ(eng.counters().batch_blocks, 0u);
   EXPECT_EQ(allocs, 0u);
 }
 
 TEST(Alloc, BatchStretchAllocatesNothing) {
   // Approximate majority stays in the batch sampler through its early
-  // rounds (DV12's effective fraction hands it to skip-ahead in round one).
-  const auto inst = make_protocol_instance("approx_majority", kN);
-  CountEngine eng(*inst->protocol, inst->initial_counts, /*seed=*/1,
-                  CountEngineMode::kBatch);
+  // rounds.
+  const auto inst = make_protocol_instance("approx_majority", kBatchN);
+  CountEngine eng(*inst->protocol, inst->initial_counts, /*seed=*/1);
   eng.run_rounds(1.0);  // warm-up
   const std::uint64_t blocks0 = eng.counters().batch_blocks;
 
@@ -85,9 +87,11 @@ TEST(Alloc, BatchStretchAllocatesNothing) {
   eng.run_rounds(4.0);
   const std::uint64_t allocs = g_allocations.load() - allocs0;
 
-  // 4 rounds at n = 2^16 in blocks of at most 2 sqrt(n) = 512 interactions.
+  // 4 rounds at n = 2^20 in blocks of at most 2 sqrt(n) = 2048
+  // interactions.
   EXPECT_FALSE(eng.skip_engaged());
-  EXPECT_GE(eng.counters().batch_blocks - blocks0, 512u);
+  EXPECT_EQ(eng.counters().skip_jumps, 0u);
+  EXPECT_GE(eng.counters().batch_blocks - blocks0, 2048u);
   EXPECT_EQ(allocs, 0u);
 }
 

@@ -2,18 +2,20 @@
 // engine to majority consensus (the minority opinion extinct) and compares
 // three observables against recorded values: the CRC32 of the engine's
 // snapshot bytes, interactions(), and the bit pattern of rounds(). The
-// snapshot covers the species table, RNG stream, mode/hysteresis state,
+// snapshot covers the species table, RNG stream, mode/sampler state,
 // time base and telemetry counters, so any drift in draw order, mode
 // switching, time accounting or counter bookkeeping shows up here.
 //
-// The recorded values come from the implementation in which CountEngine's
-// step() and run_rounds() each carried their own mode dispatch and
-// skip-ahead sampler and every engine its own run_until loop; the
-// count/phase_clock pins come from the later engine that rebuilt its species
-// index and probed the transition cache by state on every skip-ahead jump.
-// Any change that keeps seeded trajectories bit-identical leaves them
-// unchanged. On a mismatch the failure message prints the observed row in
-// table form.
+// The agent and count "direct" values come from the implementation in which
+// CountEngine's step() and run_rounds() each carried their own mode dispatch
+// and skip-ahead sampler and every engine its own run_until loop (the
+// count/phase_clock/direct pins from the later engine that rebuilt its
+// species index and probed the transition cache by state on every
+// skip-ahead jump). The count "adaptive", count/batching, count/faults and
+// count_shard values were recorded when the batch/skip sampler policy became
+// the count engine's default mode. Any change that keeps seeded trajectories
+// bit-identical leaves them unchanged. On a mismatch the failure message
+// prints the observed row in table form.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -37,6 +39,9 @@ namespace popproto {
 namespace {
 
 constexpr std::uint64_t kN = std::uint64_t{1} << 12;
+// Smallest power of two at which the count engine's default policy batches
+// both majority protocols.
+constexpr std::uint64_t kBatchingN = std::uint64_t{1} << 18;
 constexpr double kHorizon = 2000.0;
 
 struct Pin {
@@ -53,57 +58,41 @@ const std::map<std::string, Pin>& pins() {
       {"agent/sequential/churn", {0x2bc31880u, 191913ull, 0x4047800869222a50ull}},
       {"agent/sequential/run_steps", {0x0f38ea08u, 222102ull, 0x404b1cb000000000ull}},
       {"agent/sequential/run_until", {0x810d6566u, 204800ull, 0x4049000000000000ull}},
-      {"count/faults/approx_majority", {0x21651e78u, 275252ull, 0x4051001000000040ull}},
-      {"count/faults/dv12_majority", {0xf71aba3eu, 1135412ull, 0x4071600400000010ull}},
+      {"count/batching/approx_majority/1", {0x5df707a0u, 18087936ull, 0x4051400000000000ull}},
+      {"count/batching/approx_majority/2", {0x23082e5au, 17825792ull, 0x4051000000000000ull}},
+      {"count/batching/dv12_majority/1", {0xa6e9f606u, 90177536ull, 0x4075800000000000ull}},
+      {"count/batching/dv12_majority/2", {0xcd244c34u, 88866816ull, 0x4075300000000000ull}},
+      {"count/faults/approx_majority", {0x651dbdf3u, 205616ull, 0x4049800000000000ull}},
+      {"count/faults/churn/approx_majority", {0x5e208154u, 18140372ull, 0x4051800040000004ull}},
+      {"count/faults/churn/dv12_majority", {0xbe7273f4u, 97045713ull, 0x407730000471c69eull}},
+      {"count/faults/dv12_majority", {0x6365b6bau, 1049392ull, 0x4070100000000000ull}},
       // CRC of the species table, not of the snapshot (see the test).
-      {"count/past_cap/auto", {0x59d35b27u, 2200ull, 0x4000000000000060ull}},
-      {"count/past_cap/batch", {0xd478f46au, 2201ull, 0x400001dca01dca01ull}},
+      {"count/past_cap/adaptive", {0x3f25d186u, 212ull, 0x3fc8ab498ab498abull}},
       {"count/past_cap/direct", {0x59d35b27u, 2200ull, 0x4000000000000060ull}},
-      {"count/past_cap/skip", {0x3f25d186u, 212ull, 0x3fc8ab498ab498abull}},
-      {"count/phase_clock/auto/1", {0xe0cf84e0u, 49152ull, 0x4028000000000000ull}},
-      {"count/phase_clock/auto/2", {0x2e3d89dbu, 49152ull, 0x4028000000000000ull}},
-      {"count/phase_clock/batch/1", {0x44f0609fu, 49152ull, 0x4028000000000000ull}},
-      {"count/phase_clock/batch/2", {0xdb9d3104u, 49152ull, 0x4028000000000000ull}},
+      {"count/phase_clock/adaptive/1", {0xe503c536u, 49152ull, 0x4028000000000000ull}},
+      {"count/phase_clock/adaptive/2", {0x23300a6du, 49152ull, 0x4028000000000000ull}},
       {"count/phase_clock/direct/1", {0xd7c7be2du, 49152ull, 0x4028000000000000ull}},
       {"count/phase_clock/direct/2", {0x4c3184aeu, 49152ull, 0x4028000000000000ull}},
-      {"count/phase_clock/skip/1", {0xa784017au, 49152ull, 0x4028000000000000ull}},
-      {"count/phase_clock/skip/2", {0x61b7ce21u, 49152ull, 0x4028000000000000ull}},
-      {"count/run_rounds/approx_majority/auto/1", {0x612c1414u, 188416ull, 0x4047000000000000ull}},
-      {"count/run_rounds/approx_majority/auto/2", {0xfbcbcb17u, 266240ull, 0x4050400000000000ull}},
-      {"count/run_rounds/approx_majority/batch/1", {0xb87d8fddu, 229376ull, 0x404c000000000000ull}},
-      {"count/run_rounds/approx_majority/batch/2", {0x51f187efu, 323584ull, 0x4053c00000000000ull}},
+      {"count/run_rounds/approx_majority/adaptive/1", {0xc8cf7400u, 233472ull, 0x404c800000000000ull}},
+      {"count/run_rounds/approx_majority/adaptive/2", {0x57bdc423u, 196608ull, 0x4048000000000000ull}},
       {"count/run_rounds/approx_majority/direct/1", {0xf5c0596cu, 233472ull, 0x404c800000000000ull}},
       {"count/run_rounds/approx_majority/direct/2", {0xa34f2584u, 208896ull, 0x4049800000000000ull}},
-      {"count/run_rounds/approx_majority/skip/1", {0xfe7e4997u, 233472ull, 0x404c800000000000ull}},
-      {"count/run_rounds/approx_majority/skip/2", {0x610cf9b4u, 196608ull, 0x4048000000000000ull}},
-      {"count/run_rounds/dv12_majority/auto/1", {0x56eee533u, 1085440ull, 0x4070900000000000ull}},
-      {"count/run_rounds/dv12_majority/auto/2", {0x8999509bu, 880640ull, 0x406ae00000000000ull}},
-      {"count/run_rounds/dv12_majority/batch/1", {0x27f8d859u, 872448ull, 0x406aa00000000000ull}},
-      {"count/run_rounds/dv12_majority/batch/2", {0x1103add3u, 954368ull, 0x406d200000000000ull}},
+      {"count/run_rounds/dv12_majority/adaptive/1", {0xdaa961b7u, 1269760ull, 0x4073600000000000ull}},
+      {"count/run_rounds/dv12_majority/adaptive/2", {0x528ada7fu, 1052672ull, 0x4070100000000000ull}},
       {"count/run_rounds/dv12_majority/direct/1", {0xad5b5bf0u, 921600ull, 0x406c200000000000ull}},
       {"count/run_rounds/dv12_majority/direct/2", {0xe06632bdu, 1196032ull, 0x4072400000000000ull}},
-      {"count/run_rounds/dv12_majority/skip/1", {0x64959e5cu, 1269760ull, 0x4073600000000000ull}},
-      {"count/run_rounds/dv12_majority/skip/2", {0xecb62594u, 1052672ull, 0x4070100000000000ull}},
-      {"count/run_until/approx_majority/auto/1", {0xbc56c11du, 256000ull, 0x404f400000000000ull}},
-      {"count/run_until/approx_majority/auto/2", {0x9dcdcf90u, 235520ull, 0x404cc00000000000ull}},
-      {"count/run_until/approx_majority/batch/1", {0xb812edf9u, 225280ull, 0x404b800000000000ull}},
-      {"count/run_until/approx_majority/batch/2", {0x724a0e5eu, 194560ull, 0x4047c00000000000ull}},
+      {"count/run_until/approx_majority/adaptive/1", {0x118524acu, 215040ull, 0x404a400000000000ull}},
+      {"count/run_until/approx_majority/adaptive/2", {0x8d931c4cu, 225280ull, 0x404b800000000000ull}},
       {"count/run_until/approx_majority/direct/1", {0x71522125u, 235520ull, 0x404cc00000000000ull}},
       {"count/run_until/approx_majority/direct/2", {0xbd1dae77u, 215040ull, 0x404a400000000000ull}},
-      {"count/run_until/approx_majority/skip/1", {0x2734193bu, 215040ull, 0x404a400000000000ull}},
-      {"count/run_until/approx_majority/skip/2", {0xbb2221dbu, 225280ull, 0x404b800000000000ull}},
-      {"count/run_until/dv12_majority/auto/1", {0xded88becu, 1464320ull, 0x4076580000000000ull}},
-      {"count/run_until/dv12_majority/auto/2", {0xc3686d79u, 901120ull, 0x406b800000000000ull}},
-      {"count/run_until/dv12_majority/batch/1", {0xcb2b318au, 921600ull, 0x406c200000000000ull}},
-      {"count/run_until/dv12_majority/batch/2", {0x17e87a02u, 860160ull, 0x406a400000000000ull}},
+      {"count/run_until/dv12_majority/adaptive/1", {0x2cff1468u, 1177600ull, 0x4071f80000000000ull}},
+      {"count/run_until/dv12_majority/adaptive/2", {0xb9404a25u, 1269760ull, 0x4073600000000000ull}},
       {"count/run_until/dv12_majority/direct/1", {0xad5b5bf0u, 921600ull, 0x406c200000000000ull}},
       {"count/run_until/dv12_majority/direct/2", {0x660fe88du, 1198080ull, 0x4072480000000000ull}},
-      {"count/run_until/dv12_majority/skip/1", {0x92c3eb83u, 1177600ull, 0x4071f80000000000ull}},
-      {"count/run_until/dv12_majority/skip/2", {0x077cb5ceu, 1269760ull, 0x4073600000000000ull}},
-      {"count_shard/approx_majority/1", {0x8a675389u, 221184ull, 0x404b000000000000ull}},
-      {"count_shard/approx_majority/2", {0xa3eeaa7cu, 229376ull, 0x404c000000000000ull}},
-      {"count_shard/dv12_majority/1", {0x7c04ec52u, 1044480ull, 0x406fe00000000000ull}},
-      {"count_shard/dv12_majority/2", {0x42d6c6f3u, 1073152ull, 0x4070600000000000ull}},
+      {"count_shard/approx_majority/1", {0x1e818137u, 81788928ull, 0x4053800000000000ull}},
+      {"count_shard/approx_majority/2", {0x61d2e666u, 71303168ull, 0x4051000000000000ull}},
+      {"count_shard/dv12_majority/1", {0x4a87d95bu, 417333248ull, 0x4078e00000000000ull}},
+      {"count_shard/dv12_majority/2", {0x4692db5du, 411041792ull, 0x4078800000000000ull}},
   };
   return table;
 }
@@ -133,9 +122,9 @@ struct Case {
   Guard minority;
 };
 
-Case make_case(const char* protocol) {
+Case make_case(const char* protocol, std::uint64_t n = kN) {
   Case c;
-  c.inst = make_protocol_instance(protocol, kN);
+  c.inst = make_protocol_instance(protocol, n);
   const char* minority =
       std::string(protocol) == "approx_majority" ? "BB" : "MB";
   c.minority = Guard(BoolExpr::var(*c.inst->vars->find(minority)));
@@ -150,18 +139,11 @@ std::vector<State> counts_to_states(
 }
 
 const char* mode_name(CountEngineMode m) {
-  switch (m) {
-    case CountEngineMode::kDirect: return "direct";
-    case CountEngineMode::kSkip: return "skip";
-    case CountEngineMode::kAuto: return "auto";
-    case CountEngineMode::kBatch: return "batch";
-  }
-  return "?";
+  return m == CountEngineMode::kDirect ? "direct" : "adaptive";
 }
 
-constexpr CountEngineMode kModes[] = {
-    CountEngineMode::kDirect, CountEngineMode::kSkip, CountEngineMode::kAuto,
-    CountEngineMode::kBatch};
+constexpr CountEngineMode kModes[] = {CountEngineMode::kDirect,
+                                      CountEngineMode::kAdaptive};
 constexpr const char* kProtocols[] = {"approx_majority", "dv12_majority"};
 constexpr std::uint64_t kSeeds[] = {1, 2};
 
@@ -206,21 +188,56 @@ TEST(Characterization, CountEngineRunUntil) {
       }
 }
 
+// At n = 2^12 the default policy only skips (see CountEngineRunRounds); at
+// 2^18 it batches while the change weight is high and skips once the
+// minority thins out, so these pins cover batch blocks, the hand-off and
+// the skip-ahead tail in one trajectory.
+TEST(Characterization, CountEngineBatching) {
+  for (const char* proto : kProtocols)
+    for (const std::uint64_t seed : kSeeds) {
+      const Case c = make_case(proto, kBatchingN);
+      CountEngine eng(*c.inst->protocol, c.inst->initial_counts, seed);
+      run_rounds_to_consensus(eng, c.minority);
+      EXPECT_GT(eng.counters().batch_blocks, 0u);
+      EXPECT_GT(eng.counters().skip_jumps, 0u);
+      expect_pinned(std::string("count/batching/") + proto + "/" +
+                        std::to_string(seed),
+                    eng);
+    }
+}
+
 TEST(Characterization, CountEngineBatchUnderFaults) {
-  // Crash a tenth of the population, drop interactions for a while (which
-  // routes kBatch through its scalar paths), then rejoin everyone.
-  FaultPlan plan;
-  plan.crash_at(3.0, CrashSpec{0.1, 0})
+  // Crash a tenth of the population, then rejoin everyone: at n = 2^18 the
+  // engine batches, with every batch truncated at the fault rounds.
+  FaultPlan churn;
+  churn.crash_at(3.0, CrashSpec{0.1, 0})
+      .rejoin_at(11.0, RejoinSpec{0.0, 0, true});
+  // The same plus an interaction dropout window. An installed dropout hook
+  // rules out batching for the whole run (the injector installs it for the
+  // plan, not for the window), so this one runs skip-ahead at n = 2^12.
+  FaultPlan dropout;
+  dropout.crash_at(3.0, CrashSpec{0.1, 0})
       .dropout_window(4.0, 9.0, 0.3)
       .rejoin_at(11.0, RejoinSpec{0.0, 0, true});
   for (const char* proto : kProtocols) {
+    const Case large = make_case(proto, kBatchingN);
+    CountEngine eng(*large.inst->protocol, large.inst->initial_counts,
+                    /*seed=*/1);
+    FaultInjector inj(churn, /*seed=*/5);
+    inj.attach(eng);
+    run_rounds_to_consensus(eng, large.minority, /*not_before=*/12.0);
+    EXPECT_EQ(eng.crashed_count(), 0u);
+    EXPECT_GT(eng.counters().batch_blocks, 0u);
+    expect_pinned(std::string("count/faults/churn/") + proto, eng);
+  }
+  for (const char* proto : kProtocols) {
     const Case c = make_case(proto);
-    CountEngine eng(*c.inst->protocol, c.inst->initial_counts, /*seed=*/1,
-                    CountEngineMode::kBatch);
-    FaultInjector inj(plan, /*seed=*/5);
+    CountEngine eng(*c.inst->protocol, c.inst->initial_counts, /*seed=*/1);
+    FaultInjector inj(dropout, /*seed=*/5);
     inj.attach(eng);
     run_rounds_to_consensus(eng, c.minority, /*not_before=*/12.0);
     EXPECT_EQ(eng.crashed_count(), 0u);
+    EXPECT_GT(eng.counters().dropped_interactions, 0u);
     expect_pinned(std::string("count/faults/") + proto, eng);
   }
 }
@@ -240,7 +257,7 @@ TEST(Characterization, CountEnginePhaseClock) {
     }
 }
 
-// A kSkip snapshot taken mid-run, restored into an engine that has already
+// A snapshot taken mid-run, restored into an engine that has already
 // run another seed from the opinions listed in the other order (so its
 // species table is ordered differently and everything it derived from that
 // table is stale), continues exactly like the uninterrupted run.
@@ -248,27 +265,27 @@ TEST(Characterization, CountEngineRestoreMidSkip) {
   const Case c = make_case("dv12_majority");
   std::ostringstream mid;
   {
-    CountEngine eng(*c.inst->protocol, c.inst->initial_counts, /*seed=*/1,
-                    CountEngineMode::kSkip);
+    CountEngine eng(*c.inst->protocol, c.inst->initial_counts, /*seed=*/1);
     for (int r = 0; r < 40; ++r) eng.run_rounds(1.0);
     ASSERT_GT(eng.count_matching(c.minority), 0u);
     eng.snapshot(mid);
   }
   const std::vector<std::pair<State, std::uint64_t>> reversed(
       c.inst->initial_counts.rbegin(), c.inst->initial_counts.rend());
-  CountEngine eng(*c.inst->protocol, reversed, /*seed=*/2,
-                  CountEngineMode::kSkip);
+  CountEngine eng(*c.inst->protocol, reversed, /*seed=*/2);
   for (int r = 0; r < 60; ++r) eng.run_rounds(1.0);
   std::istringstream in(mid.str());
   eng.restore(in);
   run_rounds_to_consensus(eng, c.minority);
-  expect_pinned("count/run_rounds/dv12_majority/skip/1", eng);
+  expect_pinned("count/run_rounds/dv12_majority/adaptive/1", eng);
 }
 
 // Past the transition cache's state cap (1024 interned states) the count
 // engine resolves pairs by value and finds species slots by scanning. An
 // 11-bit per-bit voter model started from 1100 distinct states puts the
-// engine there from the start in every mode. Which states got interned
+// engine there from the start in every mode. At n = 1100 the default mode
+// takes skip-ahead jumps, each over a 1100^2-entry event list, so it runs 40
+// of them instead of two rounds. Which states got interned
 // first is cache bookkeeping (it moves cache_builds in the snapshot's
 // counter section), not trajectory, so these pins cover interactions,
 // rounds and the CRC32 of the species table instead of the snapshot bytes.
@@ -295,7 +312,7 @@ TEST(Characterization, CountEnginePastCacheCap) {
   }
   for (const CountEngineMode mode : kModes) {
     CountEngine eng(proto, initial, /*seed=*/1, mode);
-    if (mode == CountEngineMode::kSkip) {
+    if (mode == CountEngineMode::kAdaptive) {
       for (int i = 0; i < 40; ++i) eng.step();
     } else {
       eng.run_rounds(2.0);
@@ -313,10 +330,11 @@ TEST(Characterization, CountEnginePastCacheCap) {
   }
 }
 
+// Four shards of kBatchingN agents each, so the shards batch as well.
 TEST(Characterization, CountShardEngine) {
   for (const char* proto : kProtocols)
     for (const std::uint64_t seed : kSeeds) {
-      const Case c = make_case(proto);
+      const Case c = make_case(proto, 4 * kBatchingN);
       CountShardEngine::Params params;
       params.shards = 4;
       params.threads = 1;
@@ -325,6 +343,7 @@ TEST(Characterization, CountShardEngine) {
       ASSERT_EQ(eng.shards(), 4u);
       run_rounds_to_consensus(eng, c.minority);
       EXPECT_EQ(eng.count_matching(c.minority), 0u);
+      EXPECT_GT(eng.counters().batch_blocks, 0u);
       expect_pinned(std::string("count_shard/") + proto + "/" +
                         std::to_string(seed),
                     eng);

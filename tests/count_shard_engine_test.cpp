@@ -1,7 +1,8 @@
 // CountShardEngine contract tests (DESIGN.md §11): thread-count-independent
-// determinism, exact shards=1 equivalence to CountEngine kBatch, hitting-time
-// distribution parity on majority, snapshot round-trip + structural-config
-// rejection, and the fault-hook fallback to the per-interaction path.
+// determinism, exact shards=1 equivalence to a default CountEngine,
+// hitting-time distribution parity on majority, snapshot round-trip +
+// structural-config rejection, and the fault hooks keeping shards off the
+// batch sampler.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -67,7 +68,9 @@ TEST(CountShardEngine, DeterministicAcrossThreadCounts) {
   auto run_one = [&](unsigned threads) {
     CountShardEngine::Params pp = params;
     pp.threads = threads;
-    CountShardEngine eng(p, majority_init(*vars, 1200, 848), 11, pp);
+    // Four shards of 2^18 agents: the shards batch, then skip once the
+    // minority thins out.
+    CountShardEngine eng(p, majority_init(*vars, 614400, 434176), 11, pp);
     eng.run_rounds(13.0);
     eng.run_rounds(20.5);
     return Observed{eng.shards(),    eng.rounds(),
@@ -77,6 +80,7 @@ TEST(CountShardEngine, DeterministicAcrossThreadCounts) {
   const Observed a = run_one(1);
   const Observed b = run_one(3);
   EXPECT_EQ(a.shards, 4u);
+  EXPECT_GT(a.ctr.batch_blocks, 0u);
   EXPECT_EQ(a.rounds, b.rounds);
   EXPECT_EQ(a.interactions, b.interactions);
   EXPECT_EQ(a.species, b.species);
@@ -86,25 +90,26 @@ TEST(CountShardEngine, DeterministicAcrossThreadCounts) {
 
 TEST(CountShardEngine, ShardsOneExactlyMatchesCountEngineBatch) {
   // The shards=1 anchor: the wrapper must be a bit-for-bit pass-through to
-  // a CountEngine kBatch seeded with the documented shard-0 stream — same
-  // species order, same time base, same interaction totals, same RNG
+  // a default-mode CountEngine seeded with the documented shard-0 stream —
+  // same species order, same time base, same interaction totals, same RNG
   // consumption (visible through the counters).
   auto vars = make_var_space();
   const Protocol p = make_approximate_majority_protocol(vars);
   const std::uint64_t seed = 21;
-  const auto init = majority_init(*vars, 700, 324);
+  // n = 2^18, where the default sampler policy batches.
+  const auto init = majority_init(*vars, 143360, 118784);
 
   CountShardEngine sharded(p, init, seed);  // default Params: one shard
-  CountEngine ref(p, init, CountShardEngine::shard_seed(seed, 0),
-                  CountEngineMode::kBatch);
+  CountEngine ref(p, init, CountShardEngine::shard_seed(seed, 0));
   ASSERT_EQ(sharded.shards(), 1u);
 
   // Segmented identically: the wrapper forwards each call whole, so batch
   // truncation at run targets lines up between the two.
-  for (const double seg : {7.25, 12.0, 30.75}) {
+  for (const double seg : {1.25, 2.0, 3.75}) {
     sharded.run_rounds(seg);
     ref.run_rounds(seg);
   }
+  EXPECT_GT(ref.counters().batch_blocks, 0u);
   EXPECT_EQ(sharded.rounds(), ref.rounds());
   EXPECT_EQ(sharded.interactions(), ref.interactions());
   EXPECT_EQ(sharded.species(), ref.species());
@@ -151,7 +156,7 @@ TEST(CountShardEngine, MajorityHittingTimeKSMatchesCountEngine) {
     std::vector<double> out;
     for (int t = 0; t < 80; ++t) {
       CountEngine eng(p, majority_init(*vars, n * 3 / 5, n - n * 3 / 5),
-                      seed0 + t, CountEngineMode::kBatch);
+                      seed0 + t);
       const auto hit =
           static_cast<SimBackend&>(eng).run_until(gone, 1e5, 0.5);
       EXPECT_TRUE(hit.has_value());
@@ -255,17 +260,19 @@ TEST(CountShardEngine, RestoreOntoDifferentThreadCountSucceeds) {
 }
 
 TEST(CountShardEngine, FaultHooksForcePerInteractionPath) {
-  // Batch aggregation assumes unbiased uniform pair draws; a dropout hook or
-  // SchedulerBias must route every shard through CountEngine's exact
-  // per-interaction path (batch_blocks stays zero).
+  // Batch aggregation assumes unbiased uniform pair draws, each one kept; a
+  // dropout hook or SchedulerBias must keep every shard off the batch
+  // sampler (batch_blocks stays zero). Shards of 2^18 agents are large
+  // enough for approx_majority to batch without hooks.
   auto vars = make_var_space();
   const Protocol p = make_approximate_majority_protocol(vars);
   CountShardEngine::Params params;
   params.shards = 2;
   params.min_shard = 2;
+  const std::uint64_t half = std::uint64_t{1} << 18;
 
   {
-    CountShardEngine eng(p, majority_init(*vars, 1024, 1024), 3, params);
+    CountShardEngine eng(p, majority_init(*vars, half, half), 3, params);
     InjectionHook hook;
     hook.drop_interaction = [](Rng&) { return false; };
     eng.set_injection_hook(std::move(hook));
@@ -274,7 +281,7 @@ TEST(CountShardEngine, FaultHooksForcePerInteractionPath) {
     EXPECT_GT(eng.interactions(), 0u);
   }
   {
-    CountShardEngine eng(p, majority_init(*vars, 1024, 1024), 3, params);
+    CountShardEngine eng(p, majority_init(*vars, half, half), 3, params);
     eng.set_scheduler_bias(
         SchedulerBias{0.5, Guard(BoolExpr::var(*vars->find("BA"))), 4});
     eng.run_rounds(4.0);
@@ -283,7 +290,7 @@ TEST(CountShardEngine, FaultHooksForcePerInteractionPath) {
   }
   {
     // And without hooks the same configuration does batch.
-    CountShardEngine eng(p, majority_init(*vars, 1024, 1024), 3, params);
+    CountShardEngine eng(p, majority_init(*vars, half, half), 3, params);
     eng.run_rounds(4.0);
     EXPECT_GT(eng.counters().batch_blocks, 0u);
   }

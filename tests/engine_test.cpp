@@ -353,8 +353,7 @@ TEST(SimBackendContract, SilentStepLoopReachesTimeTarget) {
   CountShardEngine shard(p, counts, 21, shard_params);
   std::vector<std::unique_ptr<SimBackend>> backends;
   for (const CountEngineMode mode :
-       {CountEngineMode::kDirect, CountEngineMode::kSkip,
-        CountEngineMode::kAuto, CountEngineMode::kBatch})
+       {CountEngineMode::kDirect, CountEngineMode::kAdaptive})
     backends.push_back(std::make_unique<CountEngine>(p, counts, 21, mode));
   std::vector<SimBackend*> all = {&agent, &batch, &shard};
   for (const auto& b : backends) all.push_back(b.get());

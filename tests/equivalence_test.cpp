@@ -114,8 +114,7 @@ TEST_P(SubstrateEquivalence, SkipModeMatchesDirectMode) {
           static_cast<double>(eng.count_matching(BoolExpr::var(v)));
     }
     {
-      CountEngine eng(p, counts, 7100 + static_cast<std::uint64_t>(t),
-                      CountEngineMode::kSkip);
+      CountEngine eng(p, counts, 7100 + static_cast<std::uint64_t>(t));
       eng.run_rounds(c.rounds);
       skip_mean += static_cast<double>(eng.count_matching(BoolExpr::var(v)));
     }

@@ -357,7 +357,7 @@ TEST(FaultInjector, FullDropoutWindowFreezesCountEngineSkipMode) {
   FaultPlan plan;
   plan.dropout_window(0.0, 10.0, 1.0);
   // Skip mode exercises the geometric-thinning composition of dropout.
-  CountEngine eng(p, init, 29, CountEngineMode::kSkip);
+  CountEngine eng(p, init, 29);
   FaultInjector injector(plan, 31);
   injector.attach(eng);
 
@@ -468,7 +468,7 @@ TEST(CountEngine, BiasForcesDirectModeAndSkewsSampling) {
   auto marks_after = [&](bool biased) {
     const std::vector<std::pair<State, std::uint64_t>> init = {
         {0, 999}, {var_bit(a), 1}};
-    // Direct mode for both arms: in skip mode every step() lands on an
+    // Direct mode for both arms: a skip-ahead step() lands on an
     // effective interaction by construction, which would mask the skew.
     CountEngine eng(p, init, 73, CountEngineMode::kDirect);
     if (biased) {

@@ -148,8 +148,7 @@ TEST(CountEngineCounters, SkipJumpsAccountForSkippedInteractions) {
   Protocol p("elim", vars);
   p.add_thread("T", {make_rule(BoolExpr::var(x), BoolExpr::var(x),
                                !BoolExpr::var(x), BoolExpr::any())});
-  CountEngine eng(p, {{var_bit(x), 16}, {0, (1 << 14) - 16}}, /*seed=*/3,
-                  CountEngineMode::kSkip);
+  CountEngine eng(p, {{var_bit(x), 16}, {0, (1 << 14) - 16}}, /*seed=*/3);
   while (eng.count_state(var_bit(x)) > 1) eng.step();
   const EngineCounters c = eng.counters();
   EXPECT_EQ(c.interactions, eng.interactions());

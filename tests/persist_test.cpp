@@ -120,13 +120,22 @@ TEST(ReplayCheck, AgentEngineRandomMatching) {
 }
 
 TEST(ReplayCheck, CountEngineAllModes) {
-  MajorityFixture fx(4096);
-  for (const CountEngineMode mode :
-       {CountEngineMode::kDirect, CountEngineMode::kSkip,
-        CountEngineMode::kAuto, CountEngineMode::kBatch}) {
-    const ReplayCheckResult r = replay_check(fx.count(7, mode), 16.0);
-    EXPECT_TRUE(r.ok) << "mode " << static_cast<int>(mode) << ": " << r.detail;
-  }
+  // The default policy at a size where it skips (2^12) and where it batches
+  // (2^18); each run must replay the sampler the size calls for.
+  const MajorityFixture small(4096);
+  const MajorityFixture large(1 << 18);
+  ReplayCheckResult r = replay_check(small.count(7, CountEngineMode::kDirect),
+                                     16.0);
+  EXPECT_TRUE(r.ok) << "direct: " << r.detail;
+
+  r = replay_check(small.count(7, CountEngineMode::kAdaptive), 16.0);
+  EXPECT_TRUE(r.ok) << "adaptive 2^12: " << r.detail;
+  EXPECT_EQ(r.final_counters.batch_blocks, 0u);
+  EXPECT_GT(r.final_counters.skip_jumps, r.snapshot_counters.skip_jumps);
+
+  r = replay_check(large.count(7, CountEngineMode::kAdaptive), 4.0);
+  EXPECT_TRUE(r.ok) << "adaptive 2^18: " << r.detail;
+  EXPECT_GT(r.final_counters.batch_blocks, r.snapshot_counters.batch_blocks);
 }
 
 TEST(ReplayCheck, BatchEngineShardLadder) {
@@ -264,45 +273,54 @@ TEST(MidBufferSnapshot, BatchEngineRestoresBitIdentically) {
 }
 
 // The count backends hold no read-ahead, but the same continue-and-compare
-// protocol pins the full four-backend matrix the replay contract covers.
+// protocol pins the full four-backend matrix the replay contract covers. At
+// n = 2^18 the default policy batches on both sides of the snapshot, and the
+// fractional run lengths truncate batches at the run targets.
 TEST(MidBufferSnapshot, CountEngineRestoresBitIdentically) {
-  MajorityFixture fx(4096);
-  CountEngine ref(fx.proto, {{fx.a, 2048}, {fx.b, 2048}}, /*seed=*/7,
-                  CountEngineMode::kBatch);
-  ref.run_rounds(9.0);
+  MajorityFixture fx(1 << 18);
+  const std::vector<std::pair<State, std::uint64_t>> init = {
+      {fx.a, fx.n / 2}, {fx.b, fx.n / 2}};
+  CountEngine ref(fx.proto, init, /*seed=*/7);
+  ref.run_rounds(2.5);
+  const std::uint64_t blocks_at_snapshot = ref.counters().batch_blocks;
+  ASSERT_GT(blocks_at_snapshot, 0u);
   const std::string snap = snapshot_bytes(ref);
   const std::string sans = snapshot_sans_counters(ref);
 
-  CountEngine res(fx.proto, {{fx.a, 2048}, {fx.b, 2048}}, /*seed=*/31,
-                  CountEngineMode::kBatch);
-  res.run_rounds(3.0);
+  CountEngine res(fx.proto, init, /*seed=*/31);
+  res.run_rounds(1.0);
   restore_bytes(res, snap);
   EXPECT_EQ(snapshot_sans_counters(res), sans);
 
-  ref.run_rounds(7.0);
-  res.run_rounds(7.0);
+  ref.run_rounds(1.75);
+  res.run_rounds(1.75);
+  EXPECT_GT(ref.counters().batch_blocks, blocks_at_snapshot);
   EXPECT_EQ(snapshot_sans_counters(res), snapshot_sans_counters(ref));
 }
 
+// Four shards of 2^18 agents, so every shard batches.
 TEST(MidBufferSnapshot, CountShardEngineRestoresBitIdentically) {
-  MajorityFixture fx(1 << 16);
+  MajorityFixture fx(1 << 20);
+  const std::vector<std::pair<State, std::uint64_t>> init = {
+      {fx.a, fx.n / 2}, {fx.b, fx.n / 2}};
   CountShardEngine::Params params;
   params.shards = 4;
   params.min_shard = 256;
-  CountShardEngine ref(fx.proto, {{fx.a, 1u << 15}, {fx.b, 1u << 15}},
-                       /*seed=*/7, params);
-  ref.run_rounds(9.0);
+  CountShardEngine ref(fx.proto, init, /*seed=*/7, params);
+  ref.run_rounds(3.0);
+  const std::uint64_t blocks_at_snapshot = ref.counters().batch_blocks;
+  ASSERT_GT(blocks_at_snapshot, 0u);
   const std::string snap = snapshot_bytes(ref);
   const std::string sans = snapshot_sans_counters(ref);
 
-  CountShardEngine res(fx.proto, {{fx.a, 1u << 15}, {fx.b, 1u << 15}},
-                       /*seed=*/7, params);
-  res.run_rounds(3.0);
+  CountShardEngine res(fx.proto, init, /*seed=*/7, params);
+  res.run_rounds(1.0);
   restore_bytes(res, snap);
   EXPECT_EQ(snapshot_sans_counters(res), sans);
 
-  ref.run_rounds(7.0);
-  res.run_rounds(7.0);
+  ref.run_rounds(2.5);
+  res.run_rounds(2.5);
+  EXPECT_GT(ref.counters().batch_blocks, blocks_at_snapshot);
   EXPECT_EQ(snapshot_sans_counters(res), snapshot_sans_counters(ref));
 }
 
@@ -444,16 +462,33 @@ TEST(MalformedSnapshot, CountEngineFixedBatchCapRejected) {
   // Format v1 keeps a batch-cap field in the count engine's core section;
   // the cap is automatic now, so only 0 restores.
   MajorityFixture fx(512);
-  auto src = fx.count(7, CountEngineMode::kBatch)();
+  auto src = fx.count(7, CountEngineMode::kAdaptive)();
   src->run_rounds(4.0);
   const std::string capped = with_section_edited(
       snapshot_bytes(*src), SnapshotSection::kCore, [](std::string& core) {
         // mode, cache flag, skip flag, silent flag, then the u64 cap.
         core[4] = 64;
       });
-  auto target = fx.count(9, CountEngineMode::kBatch)();
+  auto target = fx.count(9, CountEngineMode::kAdaptive)();
   const SnapshotErrc mismatch = SnapshotErrc::kConfigMismatch;
   expect_rejected(*target, capped, &mismatch, "batch cap 64");
+}
+
+TEST(MalformedSnapshot, CountEngineUnknownModeRejected) {
+  // Mode bytes 0 (direct) to 3 (the policy) restore; 1 and 2 are retired
+  // modes that restore into the policy. Anything past 3 is corrupt.
+  MajorityFixture fx(512);
+  auto src = fx.count(7, CountEngineMode::kAdaptive)();
+  src->run_rounds(4.0);
+  for (const std::uint8_t mode : {std::uint8_t{4}, std::uint8_t{0xff}}) {
+    const std::string bad = with_section_edited(
+        snapshot_bytes(*src), SnapshotSection::kCore,
+        [&](std::string& core) { core[0] = static_cast<char>(mode); });
+    auto target = fx.count(9, CountEngineMode::kAdaptive)();
+    const SnapshotErrc corrupt = SnapshotErrc::kCorrupt;
+    expect_rejected(*target, bad, &corrupt,
+                    "mode byte " + std::to_string(mode));
+  }
 }
 
 TEST(MalformedSnapshot, ByteFlipFuzz) {
@@ -465,7 +500,7 @@ TEST(MalformedSnapshot, ByteFlipFuzz) {
   ClockFixture clock(512);
   MajorityFixture maj(512);
   auto agent = clock.agent(7)();
-  auto count = maj.count(7, CountEngineMode::kBatch)();
+  auto count = maj.count(7, CountEngineMode::kAdaptive)();
   auto batch = clock.batch(7, 2)();
   struct Case {
     const char* label;
@@ -761,8 +796,9 @@ std::string from_hex(const std::string& hex) {
   return out;
 }
 
-// make_approximate_majority_protocol, CountEngine kAuto over {BA: 40,
-// BB: 24}, seed 11, three rounds.
+// make_approximate_majority_protocol, CountEngine over {BA: 40, BB: 24},
+// seed 11, three rounds, in the retired auto mode (mode byte 2). It now
+// continues under the sampler policy; the CRC below pins that continuation.
 const char* const kUncachedCountV1 =
     "5050533101000000010000001d000000000000009f2e2d160500000000000000"
     "636f756e7429f71ebf41f7ffcb4000000000000000020000003c000000000000"
@@ -776,6 +812,42 @@ const char* const kUncachedCountV1 =
     "e9050000006800000000000000852ee080c00000000000000013000000000000"
     "0000000000000000000000000000000000000000000000000000000000000000"
     "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "000000000000000000";
+
+// Written by the engine that still had the skip-ahead-only and auto modes
+// (mode bytes 1 and 2), both with skip-ahead engaged:
+// make_approximate_majority_protocol over {BA: 40, BB: 24}, seed 11, three
+// rounds in skip mode; and over {BA: 200, BB: 56}, seed 5, six rounds in
+// auto mode.
+const char* const kRetiredSkipModeCountV1 =
+    "5050533101000000010000001d000000000000009f2e2d160500000000000000"
+    "636f756e7429f71ebf41f7ffcb4000000000000000020000003c000000000000"
+    "00551c96a00101010000000000000000000000000000000840c0000000000000"
+    "00140000000000000000000000000000000000000000000000711cc7711cc7bb"
+    "3f030000005800000000000000ee7d25f8400000000000000003000000000000"
+    "0001000000000000000200000000000000000000000000000003000000000000"
+    "0023000000000000000f000000000000000e0000000000000000000000000000"
+    "00000000000000000004000000280000000000000085f2204901000000000000"
+    "00c088cce1cac64b8eb1b59823395a4217f49aa4e8cb46487cff0d6a27f88962"
+    "e3050000006800000000000000a4c6d9c2c00000000000000014000000000000"
+    "0000000000000000000900000000000000000000000000000015000000000000"
+    "00ac000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "000000000000000000";
+const char* const kRetiredAutoModeCountV1 =
+    "5050533101000000010000001d00000000000000c6e7c7990500000000000000"
+    "636f756e7429f71ebf41f7ffcb0001000000000000020000003c000000000000"
+    "00a6ec1a5f020101000000000000000000000000000000184000060000000000"
+    "00700000000000000000000000000000000000000000000000090909090909b2"
+    "3f0300000058000000000000004b465225000100000000000003000000000000"
+    "0001000000000000000200000000000000000000000000000003000000000000"
+    "00b8000000000000001600000000000000320000000000000000000000000000"
+    "000000000000000000040000002800000000000000c5deb5a001000000000000"
+    "00db748ad179a150cd5e168ffd8d32c6a0d5c803cb9ad02718617b05a917069e"
+    "c00500000068000000000000006e0acbb8000600000000000070000000000000"
+    "0000000000000000000900000000000000000000000000000020000000000000"
+    "00e1010000000000000000000000000000000000000000000000000000000000"
     "0000000000000000000000000000000000000000000000000000000000000000"
     "000000000000000000";
 
@@ -813,7 +885,32 @@ TEST(SnapshotFormatV1, UncachedCountSnapshotRestoresAndReplays) {
   restore_bytes(eng, blob);
   eng.run_rounds(20.0);
   EXPECT_EQ(eng.interactions(), 1472u);
-  EXPECT_EQ(crc32(snapshot_bytes(eng)), 0xa4d3d1a6u);
+  EXPECT_EQ(crc32(snapshot_bytes(eng)), 0x59140a11u);
+}
+
+TEST(SnapshotFormatV1, RetiredCountModesRestoreIntoThePolicy) {
+  // The trajectories continue under the sampler policy, so only the
+  // restore itself, the population and the rewritten mode byte are pinned.
+  MajorityFixture fx(4);
+  for (const auto& [hex, n] : {std::pair{kRetiredSkipModeCountV1, 64u},
+                               std::pair{kRetiredAutoModeCountV1, 256u}}) {
+    CountEngine eng(fx.proto, {{fx.a, 2}, {fx.b, 2}}, /*seed=*/99,
+                    CountEngineMode::kDirect);
+    restore_bytes(eng, from_hex(hex));
+    EXPECT_EQ(eng.n(), n);
+    eng.run_rounds(20.0);
+    std::uint64_t total = 0;
+    for (const auto& [s, c] : eng.species()) total += c;
+    EXPECT_EQ(total, n);
+    EXPECT_EQ(eng.active_n(), n);
+    // The engine now writes the policy's mode byte (core section, byte 0).
+    std::uint8_t mode = 0;
+    with_section_edited(snapshot_bytes(eng), SnapshotSection::kCore,
+                        [&](std::string& core) {
+                          mode = static_cast<std::uint8_t>(core.at(0));
+                        });
+    EXPECT_EQ(mode, static_cast<std::uint8_t>(CountEngineMode::kAdaptive));
+  }
 }
 
 TEST(SnapshotFormatV1, UncachedAgentSnapshotRestoresAndReplays) {

@@ -11,6 +11,7 @@
 #include <cmath>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -97,9 +98,11 @@ class ReferenceEngine {
   double time_ = 0.0;
 };
 
-/// CountEngine's kDirect and kSkip step() without hooks or bias, on a
-/// species table kept in the engine's order (append on first sight,
-/// zero-count slots dropped only when skip-ahead rebuilds its events).
+/// CountEngine's kDirect step() and its default mode's skip-ahead step()
+/// (wherever the policy never batches: change weights below its skip
+/// threshold) without hooks or bias, on a species table kept in the
+/// engine's order (append on first sight, zero-count slots dropped only when
+/// skip-ahead rebuilds its events).
 class ReferenceCountEngine {
  public:
   ReferenceCountEngine(const Protocol& protocol,
@@ -120,19 +123,21 @@ class ReferenceCountEngine {
   }
 
   /// One geometric jump plus the effective interaction it lands on; once
-  /// nothing can change, latches silent and idles one round per call.
-  /// Returns false iff silent.
+  /// nothing can change, latches silent and idles one round per call. A
+  /// saturated draw (2^64 - 1 or more no-ops) idles one round instead,
+  /// which is exact by memorylessness. Returns false iff silent.
   bool skip_step() {
     if (!silent_) rebuild();
     if (silent_ || total_ <= 0.0) {
       silent_ = true;
-      const double limit = time_ + 1.0;
-      interactions_ += static_cast<std::uint64_t>(
-          std::llround((limit - time_) * static_cast<double>(n_)));
-      time_ = limit;
+      idle_round();
       return false;
     }
     const std::uint64_t skip = rng_.geometric(std::min(total_, 1.0));
+    if (skip == std::numeric_limits<std::uint64_t>::max()) {
+      idle_round();
+      return true;
+    }
     interactions_ += skip + 1;
     time_ += static_cast<double>(skip + 1) / static_cast<double>(n_);
     double u = rng_.uniform() * total_;
@@ -167,6 +172,13 @@ class ReferenceCountEngine {
     double w;
     std::size_t a, b;
   };
+
+  void idle_round() {
+    const double limit = time_ + 1.0;
+    interactions_ += static_cast<std::uint64_t>(
+        std::llround((limit - time_) * static_cast<double>(n_)));
+    time_ = limit;
+  }
 
   std::size_t sample_species(std::size_t exclude) {
     std::uint64_t r = rng_.below(n_ - (exclude == kNone ? 0 : 1));

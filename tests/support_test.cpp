@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <set>
 
 #include "support/fitting.hpp"
@@ -92,6 +94,18 @@ TEST(Rng, GeometricMeanMatches) {
 TEST(Rng, GeometricWithPOneIsZero) {
   Rng rng(1);
   for (int i = 0; i < 10; ++i) EXPECT_EQ(rng.geometric(1.0), 0u);
+}
+
+TEST(Rng, GeometricSaturatesPastTheIntegerRange) {
+  // With p = 1e-300 the draw is ~1e300 failures: it must saturate, not wrap
+  // (an unchecked cast made a near-impossible event fire at once).
+  Rng rng(1);
+  for (int i = 0; i < 100; ++i)
+    EXPECT_EQ(rng.geometric(1e-300), std::numeric_limits<std::uint64_t>::max());
+  // p = 1e-30 still overflows 2^64 unless the uniform lands within ~1e-11
+  // of 1; a huge-but-representable draw stays exact.
+  EXPECT_EQ(rng.geometric(1e-30), std::numeric_limits<std::uint64_t>::max());
+  EXPECT_GT(rng.geometric(1e-15), std::uint64_t{1} << 40);
 }
 
 TEST(Rng, DistinctPairNeverEqual) {

@@ -6,6 +6,7 @@
 // fallback) exercised explicitly.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -15,6 +16,7 @@
 #include "core/count_engine.hpp"
 #include "core/engine.hpp"
 #include "protocols/baselines.hpp"
+#include "server/protocol_registry.hpp"
 #include "reference_engine.hpp"
 #include "support/rng.hpp"
 
@@ -313,7 +315,7 @@ TEST(CountEngineEquivalence, SkipModeDv12ToSilence) {
   const State mb = var_bit(*vars->find("MB")) | var_bit(*vars->find("STRONG"));
   const std::vector<std::pair<State, std::uint64_t>> init = {{ma, 2'060},
                                                              {mb, 2'036}};
-  CountEngine eng(p, init, /*seed=*/31, CountEngineMode::kSkip);
+  CountEngine eng(p, init, /*seed=*/31);
   ReferenceCountEngine ref(p, init, /*seed=*/31);
   bool eng_alive = true, ref_alive = true;
   while (eng_alive || ref_alive) {
@@ -325,8 +327,32 @@ TEST(CountEngineEquivalence, SkipModeDv12ToSilence) {
   EXPECT_EQ(eng.effective_interactions(), ref.effective());
   EXPECT_EQ(eng.rounds(), ref.rounds());
   EXPECT_EQ(eng.species(), ref.species());
-  // skip mode must actually have skipped no-ops
+  // skip-ahead must actually have skipped no-ops
   EXPECT_GT(eng.interactions(), eng.effective_interactions());
+}
+
+TEST(CountEngineEquivalence, SkipModePhaseClockGrowsSpecies) {
+  // The phase clock appends species slots mid-run (from a handful to 15-18
+  // live ones) while others go extinct, so the change-weight table is
+  // re-strided and dropped along the way. At n = 2^12 its change weight
+  // stays far below the skip threshold, so the default mode takes skip-ahead
+  // jumps only and must match the reference stepper draw for draw.
+  const auto inst = make_protocol_instance("phase_clock", 1u << 12);
+  CountEngine eng(*inst->protocol, inst->initial_counts, /*seed=*/33);
+  ReferenceCountEngine ref(*inst->protocol, inst->initial_counts,
+                           /*seed=*/33);
+  std::size_t max_species = 0;
+  while (eng.rounds() < 48.0) {
+    ASSERT_TRUE(eng.step());
+    ASSERT_TRUE(ref.skip_step());
+    ASSERT_EQ(eng.interactions(), ref.interactions());
+    max_species = std::max(max_species, eng.species().size());
+  }
+  EXPECT_EQ(eng.effective_interactions(), ref.effective());
+  EXPECT_EQ(eng.rounds(), ref.rounds());
+  EXPECT_EQ(eng.species(), ref.species());
+  EXPECT_EQ(eng.counters().batch_blocks, 0u);
+  EXPECT_GT(max_species, 8u);
 }
 
 TEST(CountEngineEquivalence, DirectModeOscillator) {

@@ -2,19 +2,21 @@
 //
 // Runs the snapshot/restore replay experiment from persist/replay_check.hpp
 // against one backend configuration and prints PASS/FAIL with the first
-// divergence. CI's replay-determinism smoke job drives this binary; it is
-// also the quickest way to check a new backend or protocol change against
-// the bit-identical-resume contract by hand.
+// divergence, plus how many batch blocks and skip-ahead jumps the replayed
+// stretch took (count backends). CI's replay-determinism smoke job drives
+// this binary; it is also the quickest way to check a new backend or
+// protocol change against the bit-identical-resume contract by hand.
 //
 // Usage:
 //   replay_check --backend agent|count|batch|count_shard [--threads T]
-//                [--shards S] [--mode M] [--n N] [--rounds K] [--seed S]
-//                [--faults]
+//                [--shards S] [--mode adaptive|direct] [--n N] [--rounds K]
+//                [--seed S] [--faults]
 //
 //   --backend  which SimBackend to exercise (default agent)
 //   --threads  BatchEngine shard/thread count (default 2)
 //   --shards   CountShardEngine shard count (default 2)
-//   --mode     CountEngine mode: direct|skip|auto|batch (default batch)
+//   --mode     CountEngine mode: adaptive (the batch/skip-ahead policy,
+//              default) or direct (the exact per-interaction reference)
 //   --n        population size (default 4096)
 //   --rounds   k: rounds before the snapshot and again after (default 24)
 //   --seed     engine seed (default 7)
@@ -25,6 +27,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -43,23 +46,21 @@ namespace {
 int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s --backend agent|count|batch|count_shard "
-               "[--threads T] [--shards S] [--mode M] [--n N] [--rounds K] "
-               "[--seed S] [--faults]\n",
+               "[--threads T] [--shards S] [--mode adaptive|direct] [--n N] "
+               "[--rounds K] [--seed S] [--faults]\n",
                argv0);
   return 2;
 }
 
-CountEngineMode parse_mode(const std::string& mode) {
+// The count engine's modes by name; nullopt for anything else.
+std::optional<CountEngineMode> parse_mode(const std::string& mode) {
+  if (mode == "adaptive") return CountEngineMode::kAdaptive;
   if (mode == "direct") return CountEngineMode::kDirect;
-  if (mode == "skip") return CountEngineMode::kSkip;
-  if (mode == "auto") return CountEngineMode::kAuto;
-  if (mode == "batch") return CountEngineMode::kBatch;
-  std::fprintf(stderr, "unknown --mode %s\n", mode.c_str());
-  std::exit(2);
+  return std::nullopt;
 }
 
 int run(const std::string& backend, unsigned threads, std::size_t shards,
-        const std::string& mode, std::uint64_t n, double rounds,
+        CountEngineMode mode, std::uint64_t n, double rounds,
         std::uint64_t seed, bool faults) {
   BackendFactory make;
   // Keep the var spaces and protocols alive across both factory calls.
@@ -77,13 +78,12 @@ int run(const std::string& backend, unsigned threads, std::size_t shards,
       return std::make_unique<Engine>(clock_proto, clock_init, seed);
     };
   } else if (backend == "count") {
-    const CountEngineMode m = parse_mode(mode);
-    make = [&, m] {
+    make = [&, mode] {
       return std::make_unique<CountEngine>(
           maj_proto,
           std::vector<std::pair<State, std::uint64_t>>{{ma, n / 2},
                                                        {mb, n - n / 2}},
-          seed, m);
+          seed, mode);
     };
   } else if (backend == "batch") {
     make = [&, threads] {
@@ -120,12 +120,19 @@ int run(const std::string& backend, unsigned threads, std::size_t shards,
     result = replay_check(make, rounds);
   }
 
+  // The replayed stretch's sampler mix (count backends; 0 elsewhere).
+  const EngineCounters& from = result.snapshot_counters;
+  const EngineCounters& to = result.final_counters;
   std::printf("replay_check backend=%s n=%llu k=%.0f%s: %s "
-              "(snapshot %llu bytes at round %.2f)\n",
+              "(snapshot %llu bytes at round %.2f; replayed %llu batch "
+              "blocks, %llu skip jumps)\n",
               backend.c_str(), static_cast<unsigned long long>(n), rounds,
               faults ? " +faults" : "", result.ok ? "PASS" : "FAIL",
               static_cast<unsigned long long>(result.snapshot_bytes),
-              result.snapshot_rounds);
+              result.snapshot_rounds,
+              static_cast<unsigned long long>(to.batch_blocks -
+                                              from.batch_blocks),
+              static_cast<unsigned long long>(to.skip_jumps - from.skip_jumps));
   if (!result.ok) std::fprintf(stderr, "%s\n", result.detail.c_str());
   return result.ok ? 0 : 1;
 }
@@ -135,7 +142,7 @@ int run(const std::string& backend, unsigned threads, std::size_t shards,
 
 int main(int argc, char** argv) {
   std::string backend = "agent";
-  std::string mode = "batch";
+  popproto::CountEngineMode mode = popproto::CountEngineMode::kAdaptive;
   unsigned threads = 2;
   std::size_t shards = 2;
   std::uint64_t n = 4096;
@@ -150,7 +157,15 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--backend") backend = next();
-    else if (arg == "--mode") mode = next();
+    else if (arg == "--mode") {
+      const char* name = next();
+      const auto m = popproto::parse_mode(name);
+      if (!m) {
+        std::fprintf(stderr, "unknown --mode %s\n", name);
+        return popproto::usage(argv[0]);
+      }
+      mode = *m;
+    }
     else if (arg == "--threads") threads = static_cast<unsigned>(std::strtoul(next(), nullptr, 10));
     else if (arg == "--shards") shards = static_cast<std::size_t>(std::strtoull(next(), nullptr, 10));
     else if (arg == "--n") n = std::strtoull(next(), nullptr, 10);
