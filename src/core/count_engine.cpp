@@ -217,7 +217,7 @@ std::uint64_t CountEngine::rejoin_random(std::uint64_t k, Rng& rng) {
   return moved;
 }
 
-std::uint64_t CountEngine::rejoin_all() {
+std::uint64_t CountEngine::rejoin_all(Rng& /*rng*/) {
   const std::uint64_t moved = crashed_n_;
   for (auto& [s, c] : crashed_) {
     add_count(s, c);

@@ -90,24 +90,19 @@ class CountEngine final : public SimBackend {
   void set_injection_hook(InjectionHook hook) override;
   void set_scheduler_bias(std::optional<SchedulerBias> bias) override;
 
-  // -- Dynamic population (churn) on counts ---------------------------------
-  /// Move up to `k` uniformly chosen agents out of the scheduled multiset
-  /// (state frozen while away); at least two stay. Returns the number moved.
-  std::uint64_t crash_random(std::uint64_t k, Rng& rng);
-  /// Return up to `k` uniformly chosen crashed agents, with their stale
-  /// state. Returns the number rejoined.
-  std::uint64_t rejoin_random(std::uint64_t k, Rng& rng);
-  std::uint64_t rejoin_all();
+  // -- Churn and corruption on counts (SimBackend) ---------------------------
+  // Crashed agents leave the scheduled multiset with their state frozen.
+  // Corruption draws its victims by exact multivariate-hypergeometric
+  // sampling on the counts; rewrites that leave a victim's state unchanged
+  // are applied as no-ops.
+  std::uint64_t crash_random(std::uint64_t k, Rng& rng) override;
+  std::uint64_t rejoin_random(std::uint64_t k, Rng& rng) override;
+  std::uint64_t rejoin_all(Rng& rng) override;
   std::uint64_t crashed_count() const { return crashed_n_; }
-
-  /// Overwrite the states of `k` distinct, uniformly chosen scheduled
-  /// agents (exact multivariate-hypergeometric sampling on counts):
-  /// agent j (j = 0..k-1) with old state `s` gets `f(s, j)`. Returns the
-  /// number of agents drawn (min(k, n)); rewrites that leave a victim's
-  /// state unchanged are applied as no-ops. Used for fault injection.
   std::uint64_t mutate_random_agents(
       std::uint64_t k, Rng& rng,
-      const std::function<State(State old_state, std::uint64_t j)>& f);
+      const std::function<State(State old_state, std::uint64_t j)>& f)
+      override;
 
   /// Replace the scheduled population with `counts` (counts must sum to
   /// >= 2), keeping the RNG stream, time base, interaction/effective

@@ -146,7 +146,7 @@ TEST(BatchEngine, ChurnPrimitives) {
 
   EXPECT_EQ(eng.rejoin_random(40, fault_rng), 40u);
   EXPECT_EQ(eng.active_n(), 340u);
-  EXPECT_EQ(eng.rejoin_all(), 60u);
+  EXPECT_EQ(eng.rejoin_all(fault_rng), 60u);
   EXPECT_EQ(eng.active_n(), 400u);
   EXPECT_EQ(eng.count_matching(BoolExpr::var(iv)), 400u);
 
@@ -178,7 +178,7 @@ TEST(BatchEngine, FaultInjectorAttachesThroughSimBackend) {
   FaultInjector injector(plan, 1234);
 
   BatchEngine eng(p, epidemic_initial(*vars, 600, 600), 5, small_params(2));
-  injector.attach(static_cast<SimBackend&>(eng));
+  injector.attach(eng);
   eng.run_rounds(40.0);
 
   ASSERT_GE(injector.log().size(), 3u);
