@@ -43,7 +43,8 @@ struct EngineCounters {
   /// Churn events applied (agents crashed / rejoined, fault layer).
   std::uint64_t crash_events = 0;
   std::uint64_t rejoin_events = 0;
-  /// Agents rewritten by targeted corruption (CountEngine fault surface).
+  /// Agents whose state a corruption changed (mutate_random_agents, every
+  /// backend); victims already in their target state are not counted.
   std::uint64_t corrupted_agents = 0;
   /// Collision-free blocks sampled by CountEngine's batch sampler; each
   /// block aggregates ~sqrt(n) interactions into O(species^2) draws.
