@@ -39,7 +39,7 @@ TEST(PairSampler, LogFactorialMatchesDirectSum) {
 
 // Chi-square goodness of fit of `trials` draws from `draw()` against the
 // exact pmf given by `log_pmf(k)` over support [0, kmax].
-void expect_gof(Rng& rng, std::uint64_t kmax,
+void expect_gof(std::uint64_t kmax,
                 const std::function<std::uint64_t()>& draw,
                 const std::function<double(std::uint64_t)>& log_pmf,
                 std::size_t trials) {
@@ -65,7 +65,7 @@ TEST(PairSampler, BinomialInversionRegimeGof) {
   const std::uint64_t n = 40;
   const double p = 0.1;  // n p = 4 < 10: inversion path
   expect_gof(
-      rng, n, [&] { return sample_binomial(rng, n, p); },
+      n, [&] { return sample_binomial(rng, n, p); },
       [&](std::uint64_t k) { return log_binomial_pmf(n, p, k); }, 40000);
 }
 
@@ -74,7 +74,7 @@ TEST(PairSampler, BinomialModeInversionRegimeGof) {
   const std::uint64_t n = 300;
   const double p = 0.3;  // n p = 90, n p q = 63 < 2500: mode-centered path
   expect_gof(
-      rng, n, [&] { return sample_binomial(rng, n, p); },
+      n, [&] { return sample_binomial(rng, n, p); },
       [&](std::uint64_t k) { return log_binomial_pmf(n, p, k); }, 40000);
 }
 
@@ -83,7 +83,7 @@ TEST(PairSampler, BinomialRejectionRegimeGof) {
   const std::uint64_t n = 40000;
   const double p = 0.25;  // n p q = 7500 >= 2500: BTRS path
   expect_gof(
-      rng, n, [&] { return sample_binomial(rng, n, p); },
+      n, [&] { return sample_binomial(rng, n, p); },
       [&](std::uint64_t k) { return log_binomial_pmf(n, p, k); }, 40000);
 }
 
@@ -92,7 +92,7 @@ TEST(PairSampler, BinomialSymmetryRegimeGof) {
   const std::uint64_t n = 200;
   const double p = 0.85;  // p > 0.5: reflected draw
   expect_gof(
-      rng, n, [&] { return sample_binomial(rng, n, p); },
+      n, [&] { return sample_binomial(rng, n, p); },
       [&](std::uint64_t k) { return log_binomial_pmf(n, p, k); }, 40000);
 }
 
@@ -107,7 +107,7 @@ TEST(PairSampler, HypergeometricInversionRegimeGof) {
   Rng rng(15);
   const std::uint64_t good = 15, bad = 85, sample = 20;  // mean = 3
   expect_gof(
-      rng, std::min(good, sample),
+      std::min(good, sample),
       [&] { return sample_hypergeometric(rng, good, bad, sample); },
       [&](std::uint64_t k) {
         if (sample > bad && k < sample - bad) return -1e30;
@@ -121,7 +121,7 @@ TEST(PairSampler, HypergeometricModeInversionRegimeGof) {
   // mean = 40, var ~ 19 < 2500: mode-centered inversion path.
   const std::uint64_t good = 200, bad = 300, sample = 100;
   expect_gof(
-      rng, std::min(good, sample),
+      std::min(good, sample),
       [&] { return sample_hypergeometric(rng, good, bad, sample); },
       [&](std::uint64_t k) {
         return log_hypergeometric_pmf(good, bad, sample, k);
@@ -134,7 +134,7 @@ TEST(PairSampler, HypergeometricRejectionRegimeGof) {
   // mean = 10000, var ~ 4900 >= 2500: HRUA ratio-of-uniforms path.
   const std::uint64_t good = 500000, bad = 500000, sample = 20000;
   expect_gof(
-      rng, sample,
+      sample,
       [&] { return sample_hypergeometric(rng, good, bad, sample); },
       [&](std::uint64_t k) {
         return log_hypergeometric_pmf(good, bad, sample, k);
@@ -148,7 +148,7 @@ TEST(PairSampler, HypergeometricSymmetryRegimesGof) {
   Rng rng(17);
   const std::uint64_t good = 60, bad = 40, sample = 80;
   expect_gof(
-      rng, std::min(good, sample),
+      std::min(good, sample),
       [&] { return sample_hypergeometric(rng, good, bad, sample); },
       [&](std::uint64_t k) {
         if (k < sample - bad) return -1e30;  // support floor: 80 - 40 = 40
@@ -240,7 +240,9 @@ TEST(PairSampler, CollisionRunSurvivalGof) {
     bool collided = false;
     const std::uint64_t l = sample_collision_run(rng, n, n, lmax, &collided);
     ASSERT_LE(l, lmax);
-    if (!collided) ASSERT_EQ(l, lmax);
+    if (!collided) {
+      ASSERT_EQ(l, lmax);
+    }
     ++observed[l];
   }
   const double log_pairs = std::log(static_cast<double>(n)) +

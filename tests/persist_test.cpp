@@ -336,10 +336,11 @@ void expect_rejected(SimBackend& target, const std::string& bytes,
     restore_bytes(target, bytes);
     FAIL() << what << ": corrupted snapshot was accepted";
   } catch (const SnapshotError& e) {
-    if (expected_code)
+    if (expected_code) {
       EXPECT_EQ(static_cast<int>(e.code()), static_cast<int>(*expected_code))
           << what << ": wrong error code (" << snapshot_errc_name(e.code())
           << ": " << e.what() << ")";
+    }
   } catch (...) {
     FAIL() << what << ": threw something other than SnapshotError";
   }
