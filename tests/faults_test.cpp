@@ -223,15 +223,15 @@ TEST(FaultInjector, ChurnKeepsInvariantsOnEngine) {
   injector.attach(eng);
 
   eng.run_rounds(3.2);
-  EXPECT_EQ(eng.active_count(), 70u);
+  EXPECT_EQ(eng.active_n(), 70u);
   EXPECT_EQ(eng.n(), 100u);  // crashed agents still exist, frozen
   std::size_t inactive = 0;
   for (std::size_t a = 0; a < eng.n(); ++a)
     if (!eng.is_active(a)) ++inactive;
-  EXPECT_EQ(eng.active_count() + inactive, eng.n());
+  EXPECT_EQ(eng.active_n() + inactive, eng.n());
 
   eng.run_rounds(4.0);  // past the rejoin at round 6
-  EXPECT_EQ(eng.active_count(), 100u);
+  EXPECT_EQ(eng.active_n(), 100u);
   ASSERT_EQ(injector.log().size(), 2u);
   EXPECT_EQ(injector.log()[0].kind, FaultKind::kCrash);
   EXPECT_EQ(injector.log()[0].affected, 30u);
@@ -250,9 +250,9 @@ TEST(Engine, CrashFreezesStateAndRejoinIsStaleOrFresh) {
 
   eng.crash_agent(7);
   EXPECT_FALSE(eng.is_active(7));
-  EXPECT_EQ(eng.active_count(), 49u);
+  EXPECT_EQ(eng.active_n(), 49u);
   eng.crash_agent(7);  // idempotent
-  EXPECT_EQ(eng.active_count(), 49u);
+  EXPECT_EQ(eng.active_n(), 49u);
 
   eng.run_rounds(40.0);  // epidemic saturates the *active* population
   EXPECT_EQ(eng.population().state(7), var_bit(i));  // frozen, never touched
@@ -272,7 +272,7 @@ TEST(Engine, ChurnKeepsTimeCalibratedToActivePopulation) {
   const Protocol p = epidemic_protocol(vars);
   Engine eng(p, std::vector<State>(100, 0), 3);
   for (std::size_t a = 10; a < 60; ++a) eng.crash_agent(a);
-  ASSERT_EQ(eng.active_count(), 50u);
+  ASSERT_EQ(eng.active_n(), 50u);
   const double t0 = eng.rounds();
   const std::uint64_t i0 = eng.interactions();
   eng.run_rounds(4.0);
